@@ -1,8 +1,7 @@
 //! Benches measuring the cost of systematic testing (§6.2): executions per
 //! unit of time for each case-study harness, the scheduler ablations (random
 //! vs PCT vs round-robin, PCT priority-change budget, liveness step bound),
-//! the step-loop hot path, and the serial vs work-stealing parallel engine
-//! comparison.
+//! the step-loop hot path, and the engine at one worker vs all cores.
 //!
 //! This is a plain `harness = false` bench (no Criterion: the build
 //! environment is hermetic). Each case runs a few timed repetitions and
@@ -15,8 +14,8 @@
 //! added in PR 5, the worker-count scaling rows added in PR 6, the
 //! calibration probe plus schedule-reduction rows added in PR 7, the
 //! mega-scale machine-count sweep added in PR 8, the copy-on-write
-//! fork-cost sweep added in PR 9, and the DPOR-vs-sleep-set reduction plus
-//! parallel prefix-tree scaling rows added in PR 10) so the
+//! fork-cost sweep added in PR 9, and the DPOR-vs-sleep-set reduction rows
+//! added in PR 10) so the
 //! perf trajectory of the engine is tracked from PR 2 on — `dashboard`
 //! renders the whole `BENCH_*.json` series as a trend table. `--quick`
 //! shrinks every budget for CI smoke runs.
@@ -26,7 +25,6 @@
 
 use std::time::{Duration, Instant};
 
-use psharp::engine::{ParallelTestEngine, PrefixForkEngine};
 use psharp::json::{Json, ToJson};
 use psharp::prelude::*;
 use psharp::runtime::RuntimeConfig;
@@ -223,7 +221,7 @@ impl Bench {
 
 fn run_iterations<F>(iterations: u64, max_steps: usize, scheduler: SchedulerKind, build: F) -> u64
 where
-    F: Fn(&mut Runtime),
+    F: Fn(&mut Runtime) + Send + Sync,
 {
     run_iterations_with_faults(iterations, max_steps, scheduler, FaultPlan::none(), build)
 }
@@ -236,7 +234,7 @@ fn run_iterations_with_faults<F>(
     build: F,
 ) -> u64
 where
-    F: Fn(&mut Runtime),
+    F: Fn(&mut Runtime) + Send + Sync,
 {
     let engine = TestEngine::new(
         TestConfig::new()
@@ -474,41 +472,6 @@ fn dpor_reduction(b: &mut Bench) {
     b.dpor_reduction = Some(row);
 }
 
-/// The worker counts the parallel prefix-tree sweep measures.
-const TREE_WORKER_COUNTS: [usize; 2] = [1, 8];
-
-/// Parallel prefix-tree exploration (PR 10): the same bug-free chaintable
-/// portfolio budget driven through [`PrefixForkEngine`] at 1 and 8 workers.
-/// Phase 1 expands the shared prefix tree through a work-stealing queue of
-/// snapshot nodes and phase 2 drains the iteration space over the pooled
-/// leaves, so the 8-worker row should scale like the flat parallel engine
-/// while paying the tree expansion once. `write_report` computes the
-/// per-core efficiency the CI bench-smoke job warns on.
-fn prefix_tree_scaling(b: &mut Bench) {
-    let group = "prefix_tree";
-    let iterations = b.budget(40);
-    let base = TestConfig::new()
-        .with_iterations(iterations)
-        .with_max_steps(2_000)
-        .with_seed(42)
-        .with_default_portfolio();
-    let build = |rt: &mut Runtime| {
-        chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
-    };
-    for workers in TREE_WORKER_COUNTS {
-        b.bench(
-            group,
-            &format!("tree_workers_{workers}"),
-            iterations,
-            || {
-                PrefixForkEngine::new(base.clone().with_workers(workers), 2)
-                    .run(build)
-                    .total_steps
-            },
-        );
-    }
-}
-
 /// Raw step-loop throughput: the serial random-scheduler figure here is the
 /// number tracked across PRs (`serial_random_execs_per_sec` in the JSON).
 fn step_loop_hotpath(b: &mut Bench) {
@@ -535,7 +498,7 @@ fn step_loop_hotpath(b: &mut Bench) {
         &format!("parallel_{workers}_workers"),
         iterations,
         || {
-            ParallelTestEngine::new(config.clone())
+            TestEngine::new(config.clone())
                 .run(hotpath::setup)
                 .total_steps
         },
@@ -770,7 +733,7 @@ fn portfolio_per_strategy(b: &mut Bench) {
     let mut runs = Vec::with_capacity(b.settings.reps);
     for _ in 0..b.settings.reps {
         let start = Instant::now();
-        let report = ParallelTestEngine::new(config.clone()).run(hotpath::setup);
+        let report = TestEngine::new(config.clone()).run(hotpath::setup);
         runs.push((start.elapsed(), report));
     }
     runs.sort_by_key(|(elapsed, _)| *elapsed);
@@ -1002,7 +965,7 @@ fn worker_scaling(b: &mut Bench) {
     });
     for workers in SCALING_WORKER_COUNTS {
         b.bench(group, &format!("workers_{workers}"), iterations, || {
-            ParallelTestEngine::new(base.clone().with_workers(workers))
+            TestEngine::new(base.clone().with_workers(workers))
                 .run(hotpath::setup)
                 .total_steps
         });
@@ -1039,8 +1002,9 @@ fn shrink_pass(b: &mut Bench) {
     println!("    {last_summary}");
 }
 
-/// Serial vs work-stealing parallel engine over the same bug-free exploration
-/// budget, demonstrating the throughput multiplier on multi-core hosts.
+/// The engine at one worker vs one worker per core over the same bug-free
+/// exploration budget, demonstrating the throughput multiplier on multi-core
+/// hosts.
 fn parallel_engine_comparison(b: &mut Bench) {
     let group = "parallel_vs_serial_chaintable";
     let iterations = b.budget(40);
@@ -1062,14 +1026,14 @@ fn parallel_engine_comparison(b: &mut Bench) {
         &format!("parallel_{workers}_workers"),
         iterations,
         || {
-            ParallelTestEngine::new(config.clone().with_workers(workers))
+            TestEngine::new(config.clone().with_workers(workers))
                 .run(build)
                 .total_steps
         },
     );
     // One untimed run for the summary line (printing inside the timed closure
     // would charge terminal I/O to the parallel measurement only).
-    let report = ParallelTestEngine::new(config.with_workers(workers)).run(build);
+    let report = TestEngine::new(config.with_workers(workers)).run(build);
     println!(
         "    parallel portfolio: {:.0} exec/s over {workers} workers ({})",
         report.executions_per_second(),
@@ -1194,18 +1158,6 @@ fn write_report(b: &Bench) {
              sleep window)"
         );
     }
-
-    // Prefix-tree scaling summary (PR 10): per-core efficiency of the
-    // 8-worker tree run against the 1-worker tree run, normalized by the
-    // effective core count exactly like the flat `scaling` group.
-    let tree_1 = b
-        .execs_per_sec("prefix_tree", "tree_workers_1")
-        .unwrap_or(0.0);
-    let tree_8 = b
-        .execs_per_sec("prefix_tree", "tree_workers_8")
-        .unwrap_or(0.0);
-    let tree_effective_cores = 8usize.min(cores).max(1) as f64;
-    let tree_efficiency = tree_8 / (tree_1.max(1e-9) * tree_effective_cores);
 
     let calibration = b
         .execs_per_sec("calibration", "fixed_roundrobin_hotpath")
@@ -1389,17 +1341,6 @@ fn write_report(b: &Bench) {
             ]),
         ),
         (
-            "prefix_tree",
-            Json::object([
-                ("workers_1_execs_per_sec", Json::Float(tree_1)),
-                ("workers_8_execs_per_sec", Json::Float(tree_8)),
-                (
-                    "per_core_efficiency_8_workers",
-                    Json::Float(tree_efficiency),
-                ),
-            ]),
-        ),
-        (
             "scaling",
             Json::object([
                 ("cores_available", Json::UInt(cores as u64)),
@@ -1464,10 +1405,6 @@ fn write_report(b: &Bench) {
          schedule-equivalents/s vs sleep-set {sleep_set_wide_equivalents:.0}",
         dpor.dpor_ratio, dpor.sleep_set_ratio,
     );
-    println!(
-        "prefix-tree scaling: {tree_8:.0} exec/s at 8 workers vs {tree_1:.0} at 1 \
-         ({tree_efficiency:.2}x per-core on {cores} core(s))"
-    );
     println!("calibration probe: {calibration:.0} exec/s (fixed round-robin hotpath)");
     println!(
         "megakv scale sweep: {:.0} steps/s at 256 machines, {:.0} steps/s at 4096 \
@@ -1503,7 +1440,6 @@ fn main() {
     step_loop_hotpath(&mut b);
     schedule_reduction(&mut b);
     dpor_reduction(&mut b);
-    prefix_tree_scaling(&mut b);
     megakv_scaling(&mut b);
     fork_cost(&mut b);
     harness_throughput(&mut b);

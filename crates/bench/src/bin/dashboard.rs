@@ -70,14 +70,6 @@ struct DporReduction {
     backtracks_scheduled: u64,
 }
 
-/// The parallel prefix-tree scaling block a report may carry (PR 10
-/// onward).
-struct PrefixTree {
-    workers_1_execs_per_sec: f64,
-    workers_8_execs_per_sec: f64,
-    per_core_efficiency_8_workers: f64,
-}
-
 /// One parsed `BENCH_*.json` report.
 struct Report {
     /// File stem, used as the column/row label ("BENCH_pr3").
@@ -95,7 +87,6 @@ struct Report {
     calibration_execs_per_sec: Option<f64>,
     reduction: Option<Reduction>,
     dpor_reduction: Option<DporReduction>,
-    prefix_tree: Option<PrefixTree>,
     mega_scale: Option<MegaScale>,
     fork_cost: Option<ForkCost>,
 }
@@ -219,11 +210,6 @@ impl Report {
             races_detected: block_u64(block, "races_detected"),
             backtracks_scheduled: block_u64(block, "backtracks_scheduled"),
         });
-        let prefix_tree = json.opt("prefix_tree").map(|block| PrefixTree {
-            workers_1_execs_per_sec: reduction_f64(block, "workers_1_execs_per_sec"),
-            workers_8_execs_per_sec: reduction_f64(block, "workers_8_execs_per_sec"),
-            per_core_efficiency_8_workers: reduction_f64(block, "per_core_efficiency_8_workers"),
-        });
         Some(Report {
             label: path.file_stem()?.to_string_lossy().into_owned(),
             pr: json.opt("pr").and_then(|v| v.as_u64().ok()).unwrap_or(0),
@@ -241,7 +227,6 @@ impl Report {
                 .and_then(|v| v.as_f64().ok()),
             reduction,
             dpor_reduction,
-            prefix_tree,
             mega_scale,
             fork_cost,
         })
@@ -370,7 +355,7 @@ fn render(reports: &[Report]) -> String {
         let _ = writeln!(out, "\n## Parallel scaling\n");
         let _ = writeln!(
             out,
-            "Worker-count scaling of the parallel engine on the bug-free portfolio \
+            "Worker-count scaling of the engine on the bug-free portfolio \
              hunt (PR 6 onward). Each worker pools one `Runtime` across its \
              iterations (`Runtime::reset` recycles machines, mailboxes, the name \
              table and all trace/enabled/fault buffers), tallies statistics into \
@@ -479,38 +464,6 @@ fn render(reports: &[Report]) -> String {
                 d.dpor_effective_equivalents_per_sec,
                 d.races_detected,
                 d.backtracks_scheduled
-            );
-        }
-    }
-
-    // Parallel prefix-tree scaling (PR 10 onward).
-    let with_tree: Vec<&Report> = reports.iter().filter(|r| r.prefix_tree.is_some()).collect();
-    if !with_tree.is_empty() {
-        let _ = writeln!(out, "\n## Parallel prefix-tree exploration\n");
-        let _ = writeln!(
-            out,
-            "The prefix-tree engine at 1 vs 8 workers on the bug-free \
-             chaintable portfolio budget (PR 10 onward): phase 1 expands the \
-             shared snapshot tree through a work-stealing queue, phase 2 \
-             drains the iteration space over the pooled leaves. *Per-core \
-             efficiency* normalizes the 8-worker figure by the 1-worker run \
-             times min(8, cores), like the flat scaling table."
-        );
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "| report | 1 worker exec/s | 8 workers exec/s | per-core efficiency |"
-        );
-        let _ = writeln!(out, "|---|---:|---:|---:|");
-        for report in &with_tree {
-            let t = report.prefix_tree.as_ref().expect("filtered on is_some");
-            let _ = writeln!(
-                out,
-                "| {} | {:.0} | {:.0} | {:.2}x |",
-                report.label,
-                t.workers_1_execs_per_sec,
-                t.workers_8_execs_per_sec,
-                t.per_core_efficiency_8_workers
             );
         }
     }

@@ -396,7 +396,7 @@ pub fn hunt_with_fault_override(
     fault_override: Option<FaultPlan>,
 ) -> BugHuntResult {
     let config = config.with_faults(fault_override.unwrap_or(case.faults));
-    let engine = ParallelTestEngine::new(config.with_max_steps(case.max_steps));
+    let engine = TestEngine::new(config.with_max_steps(case.max_steps));
     let build = &case.build;
     let report = engine.run(|rt| build(rt));
     let shrink = report.bug.as_ref().and_then(|b| b.shrink.as_ref());
@@ -456,10 +456,7 @@ pub fn verify_fixed_config<F>(build: F, config: TestConfig) -> Option<Bug>
 where
     F: Fn(&mut Runtime) + Send + Sync,
 {
-    ParallelTestEngine::new(config)
-        .run(build)
-        .bug
-        .map(|b| b.bug)
+    TestEngine::new(config).run(build).bug.map(|b| b.bug)
 }
 
 /// Formats a [`Duration`] in seconds with two decimals.

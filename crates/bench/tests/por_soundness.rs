@@ -9,10 +9,14 @@
 //! - **Prefix-sharing snapshot execution must not change results.** Forking
 //!   an iteration from the post-setup snapshot instead of rebuilding the
 //!   harness is an implementation detail: the (iteration, seed, decisions,
-//!   bug) outcome must stay byte-identical at any worker count.
+//!   bug) outcome must stay byte-identical at any worker count, and equal to
+//!   the engine-independent reference loop in `oracle`.
+
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
 
 use bench::{bug_cases, hunt_with_fault_override};
-use psharp::engine::{ParallelTestEngine, PrefixForkEngine, TestReport};
+use oracle::Reference;
 use psharp::prelude::*;
 use psharp::runtime::{Runtime, RuntimeConfig};
 use psharp::scheduler::RandomScheduler;
@@ -185,26 +189,13 @@ fn prefix_shared_reports_are_byte_identical_at_any_worker_count() {
         .with_max_steps(2_500)
         .with_seed(2016)
         .with_faults(replsim::ReplConfig::with_lost_replication_bug().fault_plan());
-    let reference = TestEngine::new(base.clone()).run(build_replsim_bug);
-    let reference_bug = reference.bug.expect("the seeded replsim bug");
+    let reference = Reference::run(&base, build_replsim_bug);
+    assert!(reference.bug.is_some(), "the seeded replsim bug");
 
     for workers in [1, 2, 4, 8] {
-        let report =
-            ParallelTestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
-                .run(build_replsim_bug);
-        let bug = report
-            .bug
-            .unwrap_or_else(|| panic!("prefix sharing at {workers} workers lost the bug"));
-        assert_eq!(
-            bug.iteration, reference_bug.iteration,
-            "winning iteration diverged at {workers} workers"
-        );
-        assert_eq!(
-            bug.trace.decisions, reference_bug.trace.decisions,
-            "trace decisions diverged at {workers} workers"
-        );
-        assert_eq!(bug.bug.kind, reference_bug.bug.kind);
-        assert_eq!(bug.bug.message, reference_bug.bug.message);
+        let report = TestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
+            .run(build_replsim_bug);
+        reference.assert_matches(&report, &format!("prefix sharing at {workers} workers"));
     }
 }
 
@@ -271,28 +262,11 @@ fn dpor_with_prefix_sharing_and_faults_matches_straight_line_execution() {
     assert_eq!(straight.total_steps, shared.total_steps);
 }
 
-/// Everything of a bug-free report except wall-clock times, compared across
-/// worker counts.
-fn report_key(report: &TestReport) -> (u64, u64, String, Vec<String>) {
-    (
-        report.iterations_run,
-        report.total_steps,
-        report.scheduler.to_string(),
-        report
-            .per_strategy
-            .iter()
-            .map(|row| format!("{row:?}"))
-            .collect(),
-    )
-}
-
-/// The parallel prefix-tree engine keeps the flat engines' guarantee: a
-/// bug-free run's report — iteration count, step count, per-strategy
-/// attribution including pruned/race/backtrack counters — is byte-identical
-/// at 1, 2, 4 and 8 workers, and so is the flat parallel engine's on the
-/// same harness and portfolio.
+/// A bug-free portfolio run's report — iteration count, step count,
+/// per-strategy attribution including pruned/race/backtrack counters — is
+/// byte-identical at 1, 2, 4 and 8 workers and equal to the reference loop's.
 #[test]
-fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
+fn bug_free_portfolio_reports_are_byte_identical_at_any_worker_count() {
     let build = |rt: &mut Runtime| {
         chaintable::build_harness(rt, &chaintable::ChainConfig::fixed());
     };
@@ -302,56 +276,13 @@ fn tree_and_flat_reports_are_byte_identical_at_any_worker_count() {
         .with_seed(7)
         .with_default_portfolio();
 
-    let tree_reference = PrefixForkEngine::new(base.clone().with_workers(1), 2).run(build);
+    let reference = Reference::run(&base, build);
     assert!(
-        tree_reference.bug.is_none(),
+        reference.bug.is_none(),
         "the fixed chaintable harness must be bug-free"
     );
-    let flat_reference = ParallelTestEngine::new(base.clone().with_workers(1)).run(build);
-    for workers in [2, 4, 8] {
-        let tree = PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(build);
-        assert_eq!(
-            report_key(&tree),
-            report_key(&tree_reference),
-            "prefix-tree report diverged at {workers} workers"
-        );
-        let flat = ParallelTestEngine::new(base.clone().with_workers(workers)).run(build);
-        assert_eq!(
-            report_key(&flat),
-            report_key(&flat_reference),
-            "flat parallel report diverged at {workers} workers"
-        );
-    }
-}
-
-/// When the harness does have a bug, the tree engine's winner — iteration,
-/// decisions, bug identity — is the same at any worker count, mirroring the
-/// flat parallel engine's deterministic first-bug selection.
-#[test]
-fn tree_engine_bug_selection_is_worker_count_independent() {
-    let base = TestConfig::new()
-        .with_iterations(200)
-        .with_max_steps(2_500)
-        .with_seed(2016)
-        .with_faults(replsim::ReplConfig::with_lost_replication_bug().fault_plan());
-    let reference = PrefixForkEngine::new(base.clone().with_workers(1), 2).run(build_replsim_bug);
-    let reference_bug = reference.bug.expect("the seeded replsim bug via the tree");
-
-    for workers in [2, 4, 8] {
-        let report =
-            PrefixForkEngine::new(base.clone().with_workers(workers), 2).run(build_replsim_bug);
-        let bug = report
-            .bug
-            .unwrap_or_else(|| panic!("the tree engine at {workers} workers lost the bug"));
-        assert_eq!(
-            bug.iteration, reference_bug.iteration,
-            "winning iteration diverged at {workers} workers"
-        );
-        assert_eq!(
-            bug.trace.decisions, reference_bug.trace.decisions,
-            "trace decisions diverged at {workers} workers"
-        );
-        assert_eq!(bug.bug.kind, reference_bug.bug.kind);
-        assert_eq!(bug.bug.message, reference_bug.bug.message);
+    for workers in [1, 2, 4, 8] {
+        let report = TestEngine::new(base.clone().with_workers(workers)).run(build);
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }

@@ -211,7 +211,7 @@ pub fn build_harness(rt: &mut Runtime, config: &ChainConfig) -> ChainHarness {
 /// have had serially.
 pub fn portfolio_hunt(config: &ChainConfig, test: TestConfig) -> TestReport {
     let config = *config;
-    ParallelTestEngine::new(test).run(move |rt| {
+    TestEngine::new(test).run(move |rt| {
         build_harness(rt, &config);
     })
 }

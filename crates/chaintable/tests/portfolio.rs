@@ -1,6 +1,6 @@
 //! Portfolio-engine integration test on the MigratingTable harness: an
 //! N-worker portfolio run finds the seeded bug, attributes it to a strategy,
-//! and reports its executions/second next to the serial engine's (the
+//! and reports its executions/second next to a one-worker run's (the
 //! multiplier shows up on multi-core hosts; run with `--nocapture` to see
 //! the log line).
 
@@ -29,7 +29,10 @@ fn portfolio_run_finds_the_seeded_bug_and_reports_throughput() {
     );
     println!("{}", parallel.strategy_table());
 
-    assert!(serial.found_bug(), "serial engine finds the seeded bug");
+    assert!(
+        serial.found_bug(),
+        "the one-worker run finds the seeded bug"
+    );
     assert!(
         parallel.found_bug(),
         "portfolio engine finds the seeded bug"

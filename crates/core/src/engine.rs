@@ -7,34 +7,29 @@
 //! On a violation it returns a [`BugReport`] containing the replayable
 //! [`Trace`] of the buggy execution.
 //!
-//! A [`ParallelTestEngine`] multiplies throughput by the host's core count:
-//! worker threads pull adaptive chunks of the iteration space from a shared
-//! work-stealing queue (each execution keeps the exact seed it would have had
-//! serially, so results are reproducible at any worker count) and can run a
+//! Every execution takes the same per-iteration path,
+//! [`TestConfig::run_iteration`]: the iteration index determines the seed
+//! ([`TestConfig::seed_for_iteration`]) *and*, in portfolio mode, the
+//! scheduling strategy ([`TestConfig::strategy_for_iteration`]). With
+//! [`TestConfig::workers`] above one, worker threads pull adaptive chunks of
+//! the iteration space from a shared work-stealing queue and can run a
 //! *portfolio* of scheduling strategies side by side, the parallel testing
 //! mode popularized by P#/Coyote. First-bug selection is deterministic: the
 //! bug at the lowest iteration index wins, regardless of which worker's
 //! execution finished first, and doomed executions above that index are
-//! cancelled step-by-step instead of running to their bound.
-//!
-//! Both engines drive the same per-iteration path,
-//! [`TestConfig::run_iteration`]: the iteration index determines the seed
-//! ([`TestConfig::seed_for_iteration`]) *and*, in portfolio mode, the
-//! scheduling strategy ([`TestConfig::strategy_for_iteration`]), so a
-//! portfolio run reports the identical (iteration, seed, strategy, bug)
-//! result at any worker count — including the serial engine.
+//! cancelled step-by-step instead of running to their bound. A run therefore
+//! reports the identical (iteration, seed, strategy, bug) result at any
+//! worker count.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::Bug;
 use crate::fault::FaultPlan;
-use crate::machine::MachineId;
 use crate::rng::{mix64, GOLDEN_GAMMA};
 use crate::runtime::{CancelToken, ExecutionOutcome, Runtime, RuntimeConfig, RuntimeSnapshot};
-use crate::scheduler::StepFootprint;
 use crate::scheduler::{ReplayScheduler, SchedulerKind};
 use crate::shrink::{same_bug, shrink_trace, ShrinkConfig, ShrinkReport};
 use crate::stats::StrategyStats;
@@ -62,9 +57,9 @@ pub struct TestConfig {
     pub check_liveness_at_quiescence: bool,
     /// Whether machine panics are caught and reported as bugs.
     pub catch_panics: bool,
-    /// Number of worker threads a [`ParallelTestEngine`] lets steal from the
-    /// shared iteration queue. `1` (the default) reproduces the serial
-    /// [`TestEngine`] bit for bit.
+    /// Number of workers [`TestEngine::run`] lets steal from the shared
+    /// iteration queue. The report does not depend on it; `1` (the default)
+    /// runs the iterations in order on the caller's thread.
     pub workers: usize,
     /// Optional scheduler portfolio: iteration `i` runs the strategy
     /// [`TestConfig::strategy_for_iteration`] picks from this list (a
@@ -158,7 +153,7 @@ impl TestConfig {
         self
     }
 
-    /// Sets the number of worker threads used by [`ParallelTestEngine`].
+    /// Sets the number of worker threads used by [`TestEngine::run`].
     ///
     /// Zero is treated as one.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -377,9 +372,9 @@ impl TestConfig {
     /// seed ([`TestConfig::seed_for_iteration`]), executes the harness built
     /// by `setup` once, and classifies the result.
     ///
-    /// This is the single execution path shared by [`TestEngine`] and
-    /// [`ParallelTestEngine`]; `cancel` is the parallel engine's step-level
-    /// cancellation handle.
+    /// This is the execution path every [`TestEngine`] iteration takes;
+    /// `cancel` is the step-level cancellation handle multi-threaded runs
+    /// install.
     pub fn run_iteration<F>(
         &self,
         iteration: u64,
@@ -519,7 +514,7 @@ impl IterationPool {
 pub enum IterationStatus {
     /// The execution ran to quiescence or its step bound without a violation.
     Completed,
-    /// The parallel engine cancelled the execution mid-flight (a lower
+    /// A multi-threaded run cancelled the execution mid-flight (a lower
     /// iteration already holds a bug); its partial step count still tallies.
     Cancelled,
     /// The execution violated a property. The trace is boxed so the common
@@ -616,11 +611,10 @@ pub struct TestReport {
     /// The first violation found, if any.
     pub bug: Option<BugReport>,
     /// Number of executions explored to completion (including the buggy
-    /// one); executions cancelled mid-flight by the parallel engine are not
-    /// counted.
+    /// one); executions cancelled mid-flight are not counted.
     pub iterations_run: u64,
     /// Total machine steps executed, including the partial work of
-    /// executions the parallel engine cancelled mid-flight.
+    /// executions cancelled mid-flight.
     pub total_steps: u64,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
@@ -630,8 +624,8 @@ pub struct TestReport {
     pub scheduler: &'static str,
     /// Number of worker threads that explored the iteration space.
     pub workers: usize,
-    /// Exploration statistics per scheduling strategy (a single row for a
-    /// serial run, one row per distinct portfolio strategy otherwise).
+    /// Exploration statistics per scheduling strategy (a single row outside
+    /// portfolio mode, one row per distinct portfolio strategy otherwise).
     pub per_strategy: Vec<StrategyStats>,
 }
 
@@ -688,6 +682,56 @@ impl TestReport {
 
 /// Systematically tests a harness by exploring many executions.
 ///
+/// Iteration `i` of a run executes with the seed
+/// [`TestConfig::seed_for_iteration`] and the strategy
+/// [`TestConfig::strategy_for_iteration`] assign it, and the run stops at the
+/// lowest buggy iteration. With [`TestConfig::workers`] above one, worker
+/// threads claim adaptively sized chunks of the iteration space from a shared
+/// atomic counter: a fast worker that drains a cheap stretch of the space
+/// simply claims the next chunk, so skewed harnesses (where some seeds run
+/// 100× longer than others) do not starve `W - 1` workers the way fixed
+/// striping did. An `N`-worker run explores the identical *set* of
+/// (iteration, seed) pairs as a one-worker run, just faster.
+///
+/// Each worker pools one [`Runtime`] across its iterations
+/// ([`Runtime::reset`]) and tallies statistics into worker-local
+/// [`StrategyStats`] rows merged once at the end, so the per-iteration hot
+/// path touches exactly two shared atomics (the work counter, amortized over
+/// a chunk, and the bug bound) and allocates nothing in the steady state.
+/// Because results are worker-count-independent by construction, the engine
+/// caps the OS threads it uses at the host's available parallelism —
+/// requesting more workers than cores changes nothing about the report and
+/// does not pay for time-sliced thread churn. When only one thread would
+/// run, the loop runs on the caller's thread.
+///
+/// With [`TestConfig::with_portfolio`] the run mixes scheduling strategies
+/// (portfolio testing, the parallel testing mode popularized by P#/Coyote):
+/// random, PCT with several priority-change budgets, delay-bounding, a
+/// probabilistic random walk and round-robin attack the same harness from
+/// different angles, and [`TestReport::per_strategy`] shows which strategy
+/// earned the bug. Which strategy drives an iteration is decided by the
+/// *iteration index*, never by which worker claimed the chunk, so the
+/// strategy mix — and therefore every execution — is identical at any worker
+/// count.
+///
+/// # Deterministic first-bug selection
+///
+/// The reported bug is the one at the **lowest iteration index**, not the one
+/// whose worker happened to finish first: a found bug publishes its iteration
+/// as a shared bound, iterations above the bound are skipped or cancelled
+/// *step-by-step* (the runtime polls a [`CancelToken`] inside its step loop,
+/// so a doomed execution stops within one machine step instead of running to
+/// its `max_steps` bound), and iterations below it always run to completion.
+/// The winning (iteration, seed, strategy, trace) tuple is therefore the same
+/// at any worker count, in portfolio mode exactly as in single-strategy mode.
+///
+/// One caveat: determinism covers the *winning tuple only*. In multi-worker
+/// runs that find a bug, aggregate counters ([`TestReport::iterations_run`],
+/// [`TestReport::total_steps`], [`BugReport::time_to_bug`]) still depend on
+/// how far other workers got before cancellation. Bug-free runs exhaust every
+/// iteration, so their counters — including the per-strategy attribution
+/// rows — are deterministic too.
+///
 /// # Examples
 ///
 /// ```
@@ -711,6 +755,16 @@ impl TestReport {
 ///     rt.create_machine(Flaky);
 /// });
 /// assert!(report.found_bug());
+///
+/// // The same hunt over four workers and the default portfolio.
+/// let config = TestConfig::new()
+///     .with_iterations(100)
+///     .with_workers(4)
+///     .with_default_portfolio();
+/// let report = TestEngine::new(config).run(|rt| {
+///     rt.create_machine(Flaky);
+/// });
+/// assert!(report.found_bug());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TestEngine {
@@ -728,71 +782,82 @@ impl TestEngine {
         &self.config
     }
 
-    /// Runs up to `iterations` executions of the harness built by `setup`,
-    /// stopping at the first property violation.
+    /// Runs up to `iterations` executions of the harness built by `setup`
+    /// across the configured workers, stopping at the first property
+    /// violation.
     ///
-    /// The `setup` closure is invoked once per execution with a fresh
-    /// [`Runtime`]; it must create the machines and monitors of the test and
-    /// may send initial events.
+    /// The `setup` closure is invoked with a fresh (or reset) [`Runtime`]
+    /// once per execution — once per worker under
+    /// [`TestConfig::prefix_sharing`]; it must create the machines and
+    /// monitors of the test and may send initial events. It must be
+    /// `Send + Sync` because each worker invokes it from its own thread. Each
+    /// individual execution still runs serialized on exactly one thread —
+    /// machines never observe intra-execution parallelism.
     pub fn run<F>(&self, setup: F) -> TestReport
     where
-        F: Fn(&mut Runtime),
+        F: Fn(&mut Runtime) + Send + Sync,
     {
-        let start = Instant::now();
         let config = &self.config;
-        let mut tally = StrategyTally::new(config);
-        let mut total_steps: u64 = 0;
-        // The runtime (and, under prefix sharing, the post-setup snapshot)
-        // pooled from one iteration to the next ([`Runtime::reset`] /
-        // [`Runtime::restore_from`]): machines, mailboxes, name table and
-        // trace keep their grown storage across the whole run.
-        let mut pool = IterationPool::new();
-        for iteration in 0..config.iterations {
-            let outcome = config.run_iteration_seeded(
-                iteration,
-                config.seed_for_iteration(iteration),
-                None,
-                &setup,
-                &mut pool,
-            );
-            total_steps += outcome.steps;
-            let row = tally.row_mut(outcome.portfolio_entry);
-            row.total_steps += outcome.steps;
-            row.pruned_schedules += outcome.pruned;
-            row.races_detected += outcome.races;
-            row.backtracks_scheduled += outcome.backtracks;
-            row.iterations_run += 1;
-            if let IterationStatus::BugFound { bug, ndc, trace } = outcome.status {
-                row.bugs_found += 1;
-                let elapsed = start.elapsed();
-                let mut report = BugReport {
-                    bug,
-                    iteration,
-                    ndc,
-                    trace: *trace,
-                    time_to_bug: elapsed,
-                    shrink: None,
-                };
-                config.rehydrate_report(&mut report, &setup);
-                config.attach_shrink(&mut report, &setup);
-                return TestReport {
-                    bug: Some(report),
-                    iterations_run: iteration + 1,
-                    total_steps,
-                    elapsed,
-                    scheduler: outcome.strategy.label(),
-                    workers: 1,
-                    per_strategy: tally.rows,
-                };
-            }
-        }
+        let workers = config.workers.max(1);
+        // The report does not depend on the thread count, so `workers`
+        // logical workers run on at most one OS thread per core: more
+        // threads than cores only add time-slicing churn (the PR 5 dashboard
+        // measured an 8-worker run *below* serial on a small host for
+        // exactly this reason). The report still says `workers`.
+        let threads = workers.min(
+            std::thread::available_parallelism()
+                .map(|cores| cores.get())
+                .unwrap_or(workers),
+        );
+        let hunt = Hunt {
+            config,
+            setup: &setup,
+            start: Instant::now(),
+            threads: threads as u64,
+            next: AtomicU64::new(0),
+            bug_bound: Arc::new(AtomicU64::new(u64::MAX)),
+            first_bug: Mutex::new(None),
+        };
+        let tally = if threads == 1 {
+            // A lone worker runs the iterations in order, so it never has a
+            // doomed one in flight: no thread spawn, no per-step cancel poll.
+            hunt.explore(false)
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| scope.spawn(|| hunt.explore(true)))
+                    .collect();
+                let mut merged = StrategyTally::new(config);
+                for handle in handles {
+                    merged.merge(handle.join().expect("worker thread panicked"));
+                }
+                merged
+            })
+        };
+        let iterations_run = tally.rows.iter().map(|row| row.iterations_run).sum();
+        let total_steps = tally.rows.iter().map(|row| row.total_steps).sum();
+
+        let winner = hunt.first_bug.into_inner().expect("bug slot lock poisoned");
+        let scheduler = match &winner {
+            Some(first) => first.scheduler,
+            None => no_bug_label(config),
+        };
+        // Rehydration and shrinking run serially over the deterministic
+        // winner, so the reported trace and minimized counterexample are
+        // identical at any worker count.
+        let bug = winner.map(|first| {
+            let mut report = first.report;
+            config.rehydrate_report(&mut report, &setup);
+            config.attach_shrink(&mut report, &setup);
+            report
+        });
         TestReport {
-            bug: None,
-            iterations_run: config.iterations,
+            bug,
+            iterations_run,
             total_steps,
-            elapsed: start.elapsed(),
-            scheduler: no_bug_label(config),
-            workers: 1,
+            elapsed: hunt.start.elapsed(),
+            scheduler,
+            workers,
             per_strategy: tally.rows,
         }
     }
@@ -816,12 +881,124 @@ impl TestEngine {
     }
 }
 
+/// The state one [`TestEngine::run`] shares between its workers.
+struct Hunt<'a, F> {
+    config: &'a TestConfig,
+    setup: &'a F,
+    start: Instant,
+    /// OS threads exploring the iteration space (sizes the chunks).
+    threads: u64,
+    /// Work-stealing queue: the next unclaimed iteration index.
+    next: AtomicU64,
+    /// Lowest iteration index known to contain a bug. Doubles as the
+    /// step-level cancellation bound polled inside every runtime's step
+    /// loop via a [`CancelToken`].
+    bug_bound: Arc<AtomicU64>,
+    first_bug: Mutex<Option<FirstBug>>,
+}
+
+impl<F> Hunt<'_, F>
+where
+    F: Fn(&mut Runtime),
+{
+    /// One worker's loop: claims chunks of the iteration space until no
+    /// work below the bug bound remains, and returns the worker's tally.
+    /// `cancellable` installs a [`CancelToken`] on every execution so a
+    /// doomed one stops within a step.
+    fn explore(&self, cancellable: bool) -> StrategyTally {
+        let config = self.config;
+        let total = config.iterations;
+        let mut tally = StrategyTally::new(config);
+        // Reused per-chunk seed buffer (batch derivation).
+        let mut seeds: Vec<u64> = Vec::new();
+        // The runtime (and post-setup snapshot, under prefix sharing) pooled
+        // across this worker's iterations.
+        let mut pool = IterationPool::new();
+        loop {
+            // Work remains only below the bug bound: once a bug at iteration
+            // `k` is published, iterations `>= k` can no longer win.
+            let bound = self.bug_bound.load(Ordering::Relaxed).min(total);
+            let claimed = self.next.load(Ordering::Relaxed);
+            if claimed >= bound {
+                break;
+            }
+            let chunk = chunk_size(bound - claimed, self.threads);
+            let chunk_start = self.next.fetch_add(chunk, Ordering::Relaxed);
+            if chunk_start >= total {
+                break;
+            }
+            let chunk_end = (chunk_start + chunk).min(total);
+            config.seeds_for_chunk(chunk_start..chunk_end, &mut seeds);
+            for (iteration, &seed) in (chunk_start..chunk_end).zip(&seeds) {
+                if iteration >= self.bug_bound.load(Ordering::Relaxed) {
+                    // Doomed, like the rest of the chunk: a lower iteration
+                    // already has a bug.
+                    break;
+                }
+                let cancel =
+                    cancellable.then(|| CancelToken::new(Arc::clone(&self.bug_bound), iteration));
+                let outcome =
+                    config.run_iteration_seeded(iteration, seed, cancel, self.setup, &mut pool);
+                let row = tally.row_mut(outcome.portfolio_entry);
+                row.total_steps += outcome.steps;
+                row.pruned_schedules += outcome.pruned;
+                row.races_detected += outcome.races;
+                row.backtracks_scheduled += outcome.backtracks;
+                match outcome.status {
+                    // The partial work stays in the step total, but the
+                    // iteration did not complete.
+                    IterationStatus::Cancelled => {}
+                    IterationStatus::Completed => row.iterations_run += 1,
+                    IterationStatus::BugFound { bug, ndc, trace } => {
+                        row.iterations_run += 1;
+                        row.bugs_found += 1;
+                        let report = BugReport {
+                            bug,
+                            iteration,
+                            ndc,
+                            trace: *trace,
+                            time_to_bug: self.start.elapsed(),
+                            shrink: None,
+                        };
+                        self.offer(report, outcome.strategy.label());
+                    }
+                }
+            }
+        }
+        tally
+    }
+
+    /// Installs `report` as the run's first bug unless a lower iteration
+    /// owns the slot.
+    fn offer(&self, report: BugReport, scheduler: &'static str) {
+        let iteration = report.iteration;
+        // Publish the bound first so other workers stop wasting steps on
+        // higher iterations immediately. The previous bound decides whether
+        // the mutex is worth touching at all: a bound already at (or below)
+        // this iteration means a lower iteration owns — or will own — the
+        // slot.
+        let previous = self.bug_bound.fetch_min(iteration, Ordering::Relaxed);
+        if previous <= iteration {
+            return;
+        }
+        let mut slot = self.first_bug.lock().expect("bug slot lock poisoned");
+        // Re-checked under the lock: two workers can both improve the bound
+        // before either installs.
+        if slot
+            .as_ref()
+            .is_none_or(|first| iteration < first.report.iteration)
+        {
+            *slot = Some(FirstBug { report, scheduler });
+        }
+    }
+}
+
 /// Per-strategy attribution rows in *canonical order* — one row per distinct
 /// portfolio strategy in portfolio order ([`SchedulerKind::describe`] keys
 /// the rows, so differently-parameterized PCT entries stay separate), or a
-/// single row for the base scheduler. Both engines and every worker build
-/// the same skeleton, so rows merge index-wise and
-/// [`TestReport::per_strategy`] comes out identical at any worker count.
+/// single row for the base scheduler. Every worker builds the same skeleton,
+/// so rows merge index-wise and [`TestReport::per_strategy`] comes out
+/// identical at any worker count.
 struct StrategyTally {
     rows: Vec<StrategyStats>,
     /// Portfolio index -> row index (entries with equal descriptions share a
@@ -899,785 +1076,6 @@ struct FirstBug {
 /// last pre-tail claim can hoard.
 fn chunk_size(remaining: u64, workers: u64) -> u64 {
     (remaining / (workers * 8)).clamp(1, 32)
-}
-
-/// Parallel portfolio testing engine with a work-stealing iteration queue.
-///
-/// Workers claim adaptively sized chunks of the iteration space of a
-/// [`TestConfig`] from a shared atomic counter: a fast worker that drains a
-/// cheap stretch of the space simply claims the next chunk, so skewed
-/// harnesses (where some seeds run 100× longer than others) no longer starve
-/// `W - 1` workers the way fixed striping did. Every iteration keeps the seed
-/// [`TestConfig::seed_for_iteration`] assigns it — a single-worker parallel
-/// run explores the identical sequence of executions as the serial
-/// [`TestEngine`], and an `N`-worker run explores the identical *set* of
-/// (iteration, seed) pairs, just faster.
-///
-/// Each worker pools one [`Runtime`] across its iterations
-/// ([`Runtime::reset`]) and tallies statistics into worker-local
-/// [`StrategyStats`] rows merged once at the end, so the per-iteration hot
-/// path touches exactly two shared atomics (the work counter, amortized over
-/// a chunk, and the bug bound) and allocates nothing in the steady state.
-/// Because results are worker-count-independent by construction, the engine
-/// also caps the spawned OS threads at the host's available parallelism —
-/// requesting more workers than cores changes nothing about the report and
-/// no longer pays for time-sliced thread churn.
-///
-/// With [`TestConfig::with_portfolio`] the run additionally mixes scheduling
-/// strategies (portfolio testing): random, PCT with several priority-change
-/// budgets, delay-bounding, a probabilistic random walk and round-robin
-/// attack the same harness from different angles, and the per-strategy
-/// attribution in [`TestReport::per_strategy`] shows which strategy earned
-/// the bug. Which strategy drives an iteration is decided by the *iteration
-/// index* ([`TestConfig::strategy_for_iteration`]), never by which worker
-/// stole the chunk, so the strategy mix — and therefore every execution — is
-/// identical at any worker count.
-///
-/// # Deterministic first-bug selection
-///
-/// The reported bug is the one at the **lowest iteration index**, not the one
-/// whose worker happened to finish first: a found bug publishes its iteration
-/// as a shared bound, iterations above the bound are skipped or cancelled
-/// *step-by-step* (the runtime polls a [`CancelToken`] inside its step loop,
-/// so a doomed execution stops within one machine step instead of running to
-/// its `max_steps` bound), and iterations below it always run to completion.
-/// The winning (iteration, seed, strategy, trace) tuple is therefore the same
-/// at any worker count — identical to what the serial engine reports — in
-/// portfolio mode exactly as in single-strategy mode.
-///
-/// One caveat: determinism covers the *winning (iteration, seed, strategy,
-/// trace) tuple only*. In runs that find a bug, aggregate counters
-/// ([`TestReport::iterations_run`], [`TestReport::total_steps`],
-/// [`BugReport::time_to_bug`]) still depend on how far other workers got
-/// before cancellation. Bug-free runs exhaust every iteration, so their
-/// counters — including the per-strategy attribution rows — are
-/// deterministic too.
-///
-/// # Examples
-///
-/// ```
-/// use psharp::prelude::*;
-///
-/// struct Flaky;
-/// impl Machine for Flaky {
-///     fn on_start(&mut self, ctx: &mut Context<'_>) {
-///         let unlucky = ctx.random_bool();
-///         ctx.assert(!unlucky, "the unlucky path was taken");
-///     }
-///     fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
-/// }
-///
-/// let config = TestConfig::new()
-///     .with_iterations(100)
-///     .with_workers(4)
-///     .with_default_portfolio();
-/// let report = ParallelTestEngine::new(config).run(|rt| {
-///     rt.create_machine(Flaky);
-/// });
-/// assert!(report.found_bug());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ParallelTestEngine {
-    config: TestConfig,
-}
-
-impl ParallelTestEngine {
-    /// Creates a parallel engine with the given configuration.
-    pub fn new(config: TestConfig) -> Self {
-        ParallelTestEngine { config }
-    }
-
-    /// An engine that uses every available core and the default portfolio.
-    pub fn portfolio(config: TestConfig) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParallelTestEngine::new(config.with_workers(workers).with_default_portfolio())
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &TestConfig {
-        &self.config
-    }
-
-    /// Runs up to `iterations` executions of the harness built by `setup`
-    /// across the configured workers, stopping all workers at the first
-    /// property violation.
-    ///
-    /// Unlike [`TestEngine::run`], `setup` must be `Send + Sync`: each worker
-    /// invokes it (one invocation per execution) from its own thread. Each
-    /// individual execution still runs serialized on exactly one thread —
-    /// machines never observe intra-execution parallelism.
-    pub fn run<F>(&self, setup: F) -> TestReport
-    where
-        F: Fn(&mut Runtime) + Send + Sync,
-    {
-        let workers = self.config.workers.max(1);
-        // Results are worker-count-independent by construction, so the
-        // engine is free to run `workers` logical workers on fewer OS
-        // threads: spawning more threads than the host has cores only adds
-        // time-slicing churn (the PR 5 dashboard measured an 8-worker run
-        // *below* serial on a small host for exactly this reason). The
-        // report still says `workers`.
-        let threads = workers.min(
-            std::thread::available_parallelism()
-                .map(|cores| cores.get())
-                .unwrap_or(workers),
-        );
-        let start = Instant::now();
-        // Work-stealing queue: the next unclaimed iteration index.
-        let next = AtomicU64::new(0);
-        // Lowest iteration index known to contain a bug. Doubles as the
-        // step-level cancellation bound polled inside every runtime's step
-        // loop via a [`CancelToken`].
-        let bug_bound = Arc::new(AtomicU64::new(u64::MAX));
-        let first_bug: Mutex<Option<FirstBug>> = Mutex::new(None);
-        let config = &self.config;
-        let total = config.iterations;
-
-        let tallies: Vec<StrategyTally> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let setup = &setup;
-                    let next = &next;
-                    let first_bug = &first_bug;
-                    let bug_bound = Arc::clone(&bug_bound);
-                    scope.spawn(move || {
-                        let mut tally = StrategyTally::new(config);
-                        // Reused per-chunk seed buffer (batch derivation).
-                        let mut seeds: Vec<u64> = Vec::new();
-                        // The runtime (and post-setup snapshot, under prefix
-                        // sharing) pooled across this worker's iterations.
-                        let mut pool = IterationPool::new();
-                        loop {
-                            // Work remains only below the bug bound: once a
-                            // bug at iteration `k` is published, iterations
-                            // `>= k` can no longer win.
-                            let bound = bug_bound.load(Ordering::Relaxed).min(total);
-                            let claimed = next.load(Ordering::Relaxed);
-                            if claimed >= bound {
-                                break;
-                            }
-                            let chunk = chunk_size(bound - claimed, threads as u64);
-                            let chunk_start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if chunk_start >= total {
-                                break;
-                            }
-                            let chunk_end = (chunk_start + chunk).min(total);
-                            config.seeds_for_chunk(chunk_start..chunk_end, &mut seeds);
-                            for (offset, iteration) in (chunk_start..chunk_end).enumerate() {
-                                if iteration >= bug_bound.load(Ordering::Relaxed) {
-                                    // Doomed: a lower iteration already has a
-                                    // bug. Skip without executing.
-                                    continue;
-                                }
-                                let outcome = config.run_iteration_seeded(
-                                    iteration,
-                                    seeds[offset],
-                                    Some(CancelToken::new(Arc::clone(&bug_bound), iteration)),
-                                    setup,
-                                    &mut pool,
-                                );
-                                let row = tally.row_mut(outcome.portfolio_entry);
-                                row.total_steps += outcome.steps;
-                                row.pruned_schedules += outcome.pruned;
-                                row.races_detected += outcome.races;
-                                row.backtracks_scheduled += outcome.backtracks;
-                                match outcome.status {
-                                    IterationStatus::Cancelled => {
-                                        // Keep the partial work in the step
-                                        // total, but the iteration did not
-                                        // complete.
-                                    }
-                                    IterationStatus::BugFound { bug, ndc, trace } => {
-                                        row.iterations_run += 1;
-                                        row.bugs_found += 1;
-                                        // Publish the bound first so other
-                                        // workers stop wasting steps on
-                                        // higher iterations immediately. The
-                                        // previous bound decides whether the
-                                        // mutex is worth touching at all: a
-                                        // bound already at (or below) this
-                                        // iteration means a lower iteration
-                                        // owns — or will own — the slot, so
-                                        // the candidate is dropped without
-                                        // ever taking the lock.
-                                        let previous =
-                                            bug_bound.fetch_min(iteration, Ordering::Relaxed);
-                                        if previous > iteration {
-                                            let mut slot =
-                                                first_bug.lock().expect("bug slot lock poisoned");
-                                            // Re-checked under the lock: two
-                                            // workers can both improve the
-                                            // bound before either installs.
-                                            let lower = slot
-                                                .as_ref()
-                                                .is_none_or(|f| iteration < f.report.iteration);
-                                            if lower {
-                                                *slot = Some(FirstBug {
-                                                    report: BugReport {
-                                                        bug,
-                                                        iteration,
-                                                        ndc,
-                                                        trace: *trace,
-                                                        time_to_bug: start.elapsed(),
-                                                        shrink: None,
-                                                    },
-                                                    scheduler: outcome.strategy.label(),
-                                                });
-                                            }
-                                        }
-                                    }
-                                    IterationStatus::Completed => {
-                                        row.iterations_run += 1;
-                                    }
-                                }
-                            }
-                        }
-                        tally
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("worker thread panicked"))
-                .collect()
-        });
-
-        let mut merged = StrategyTally::new(config);
-        for tally in tallies {
-            merged.merge(tally);
-        }
-        let iterations_run = merged.rows.iter().map(|row| row.iterations_run).sum();
-        let total_steps = merged.rows.iter().map(|row| row.total_steps).sum();
-
-        let winner = first_bug.into_inner().expect("bug slot lock poisoned");
-        let scheduler = match &winner {
-            Some(first) => first.scheduler,
-            None => no_bug_label(config),
-        };
-        // Rehydration and shrinking run serially over the deterministic
-        // winner, so the reported trace and minimized counterexample are
-        // identical at any worker count.
-        let winner = winner.map(|mut first| {
-            config.rehydrate_report(&mut first.report, &setup);
-            config.attach_shrink(&mut first.report, &setup);
-            first
-        });
-        TestReport {
-            bug: winner.map(|first| first.report),
-            iterations_run,
-            total_steps,
-            elapsed: start.elapsed(),
-            scheduler,
-            workers,
-            per_strategy: merged.rows,
-        }
-    }
-}
-
-/// One node awaiting expansion in the [`PrefixForkEngine`]'s prefix tree:
-/// the snapshot at the node, the path of forced decisions that reached it
-/// (the node's canonical identity, independent of which worker expands it),
-/// the sleep set inherited on the path (machines whose next step is already
-/// covered by an equivalent sibling ordering, each with the footprint
-/// observed when it executed), and the remaining expansion depth.
-struct PrefixNode {
-    snapshot: Arc<RuntimeSnapshot>,
-    path: Vec<u64>,
-    sleep: Vec<(MachineId, StepFootprint)>,
-    depth: usize,
-}
-
-/// The shared work queue of the parallel tree expansion: pending nodes plus
-/// the number of nodes currently being expanded by some worker. Expansion
-/// terminates when both hit zero — a worker holding a node may still push
-/// children, so an empty `nodes` list alone does not mean the tree is done.
-struct ExpandQueue {
-    nodes: Vec<PrefixNode>,
-    in_flight: usize,
-}
-
-/// A bug hit by a *forced prefix step* during tree expansion. Candidates
-/// race across workers; the lexicographically smallest path wins, so the
-/// reported bug is worker-count-independent.
-struct PrefixBug {
-    path: Vec<u64>,
-    bug: Bug,
-    ndc: usize,
-    trace: Trace,
-}
-
-/// One expansion worker's private results, merged after the phase barrier.
-struct ExpandOut {
-    leaves: Vec<(Vec<u64>, Arc<RuntimeSnapshot>)>,
-    tree_pruned: u64,
-    steps: u64,
-    bug: Option<PrefixBug>,
-}
-
-/// Parallel engine that organizes the iteration space as a **bounded-depth
-/// prefix tree** over snapshots, instead of running every execution from
-/// scratch.
-///
-/// The harness `setup` executes once; the resulting state is snapshotted as
-/// the tree's root. The engine then expands the tree `depth` levels deep
-/// across [`TestConfig::workers`] threads: pending nodes sit in a shared
-/// work-stealing queue, and each worker forks a claimed node's
-/// copy-on-write snapshot into its pooled runtime, executes one step of one
-/// enabled machine per branch (a forced, recorded schedule decision) and
-/// snapshots the result.
-///
-/// Which siblings become branches is decided **DPOR-style** from the step
-/// footprints, not by blind enumeration of the enabled set. The first
-/// eligible sibling always expands; a later sibling expands only when its
-/// step is *dependent* with at least one already-expanded sibling's step
-/// (a race — the two orderings genuinely commit to different partial
-/// orders, so the sibling is a backtrack point worth its own subtree). A
-/// sibling whose step commutes with every expanded sibling is pruned and
-/// counted in [`StrategyStats::pruned_schedules`]: executions starting with
-/// it reach, state for state, configurations some expanded sibling's
-/// subtree also reaches (suffix executions drain every enabled machine's
-/// pending work on the way to quiescence). **Sleep sets** additionally
-/// carry the commutation argument down the tree: once the branch stepping
-/// `a` has been expanded, a dependent sibling branch stepping `b` keeps `a`
-/// in its child's sleep set whenever `a`'s step is
-/// [independent](StepFootprint::independent) of `b`'s — the ordering `b·a`
-/// reaches a state equivalent to the already-explored `a·b`.
-///
-/// The configured iterations are then distributed round-robin over the
-/// leaves (claimed chunk-wise from a second work-stealing queue); each
-/// iteration restores its leaf's snapshot, installs its own scheduler and
-/// seed ([`TestConfig::strategy_for_iteration`] /
-/// [`TestConfig::seed_for_iteration`]) and runs only the suffix.
-///
-/// Every recorded trace contains the forced prefix decisions, so bug traces
-/// replay (and shrink) from scratch exactly like straight-line recordings.
-/// The tree is a pure function of the [`TestConfig`] — node expansion
-/// depends only on the node — and leaves are sorted by their decision-path
-/// key at the phase barrier, so the leaf order, the iteration→leaf
-/// assignment and the whole report of a bug-free run are byte-identical at
-/// any worker count; runs that find a bug deterministically report the bug
-/// at the lowest iteration index (prefix bugs: the smallest decision path),
-/// exactly like [`ParallelTestEngine`]. When the harness state is not
-/// snapshotable the engine transparently falls back to the straight-line
-/// [`TestEngine`].
-pub struct PrefixForkEngine {
-    config: TestConfig,
-    depth: usize,
-}
-
-impl PrefixForkEngine {
-    /// Bound on the expansion depth: leaves multiply with the enabled-set
-    /// branching factor per level, so deep trees explode; the depth is
-    /// clamped to this.
-    pub const MAX_DEPTH: usize = 6;
-
-    /// Creates a prefix-fork engine expanding `depth` tree levels (clamped
-    /// to [`PrefixForkEngine::MAX_DEPTH`]; `0` means pure root sharing — the
-    /// setup runs once and every iteration forks from the same snapshot).
-    pub fn new(config: TestConfig, depth: usize) -> Self {
-        PrefixForkEngine {
-            config,
-            depth: depth.min(Self::MAX_DEPTH),
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &TestConfig {
-        &self.config
-    }
-
-    /// Runs up to `iterations` suffix executions distributed over the
-    /// prefix tree's leaves, stopping at the first property violation.
-    ///
-    /// Like [`ParallelTestEngine::run`], `setup` must be `Send + Sync`: the
-    /// tree is expanded and its leaves are suffixed by worker threads. Each
-    /// individual execution still runs serialized on exactly one thread.
-    pub fn run<F>(&self, setup: F) -> TestReport
-    where
-        F: Fn(&mut Runtime) + Send + Sync,
-    {
-        let start = Instant::now();
-        let config = &self.config;
-        let workers = config.workers.max(1);
-        // As in [`ParallelTestEngine`]: results are worker-count-independent
-        // by construction, so logical workers beyond the host's cores would
-        // only add time-slicing churn.
-        let threads = workers.min(
-            std::thread::available_parallelism()
-                .map(|cores| cores.get())
-                .unwrap_or(workers),
-        );
-        let mut runtime = Runtime::new(
-            config.scheduler.build(config.seed, config.max_steps),
-            config.runtime_config(),
-            config.seed,
-        );
-        setup(&mut runtime);
-        let Some(root) = runtime.snapshot() else {
-            // Not snapshotable: identical semantics, straight-line execution.
-            return TestEngine::new(config.clone()).run(setup);
-        };
-        drop(runtime);
-        let root = Arc::new(root);
-
-        // Phase 1: expand the tree across workers. The queue hands out
-        // pending nodes; a worker forks each claimed node's copy-on-write
-        // snapshot into its own pooled runtime, so expansion parallelizes
-        // without any shared mutable machine state.
-        let queue = Mutex::new(ExpandQueue {
-            nodes: vec![PrefixNode {
-                snapshot: Arc::clone(&root),
-                path: Vec::new(),
-                sleep: Vec::new(),
-                depth: self.depth,
-            }],
-            in_flight: 0,
-        });
-        let idle = Condvar::new();
-        let outs: Vec<ExpandOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let queue = &queue;
-                    let idle = &idle;
-                    scope.spawn(move || {
-                        let mut out = ExpandOut {
-                            leaves: Vec::new(),
-                            tree_pruned: 0,
-                            steps: 0,
-                            bug: None,
-                        };
-                        let mut pooled: Option<Runtime> = None;
-                        loop {
-                            let node = {
-                                let mut q = queue.lock().expect("expansion queue poisoned");
-                                loop {
-                                    if let Some(node) = q.nodes.pop() {
-                                        q.in_flight += 1;
-                                        break node;
-                                    }
-                                    if q.in_flight == 0 {
-                                        // Nothing pending and nobody who
-                                        // could still push children.
-                                        return out;
-                                    }
-                                    q = idle.wait(q).expect("expansion queue poisoned");
-                                }
-                            };
-                            let runtime = pooled.get_or_insert_with(|| {
-                                Runtime::new(
-                                    config.scheduler.build(config.seed, config.max_steps),
-                                    config.runtime_config(),
-                                    config.seed,
-                                )
-                            });
-                            let children = Self::expand_node(runtime, node, &mut out);
-                            let mut q = queue.lock().expect("expansion queue poisoned");
-                            q.nodes.extend(children);
-                            q.in_flight -= 1;
-                            drop(q);
-                            // Wake everyone: pushed children mean work, and
-                            // the last decrement with an empty queue means
-                            // every waiter must exit.
-                            idle.notify_all();
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("expansion worker panicked"))
-                .collect()
-        });
-
-        let mut leaves: Vec<(Vec<u64>, Arc<RuntimeSnapshot>)> = Vec::new();
-        let mut tree_pruned: u64 = 0;
-        let mut expansion_steps: u64 = 0;
-        let mut prefix_bug: Option<PrefixBug> = None;
-        for out in outs {
-            leaves.extend(out.leaves);
-            tree_pruned += out.tree_pruned;
-            expansion_steps += out.steps;
-            if let Some(candidate) = out.bug {
-                if prefix_bug.as_ref().is_none_or(|b| candidate.path < b.path) {
-                    prefix_bug = Some(candidate);
-                }
-            }
-        }
-
-        let mut tally = StrategyTally::new(config);
-        if let Some(found) = prefix_bug {
-            // A shared prefix itself violates a property: every iteration
-            // assigned below the buggy branch would hit it, so report it as
-            // iteration 0.
-            let row = tally.row_mut(config.portfolio_index_for_iteration(0));
-            row.iterations_run += 1;
-            row.bugs_found += 1;
-            tally.rows[0].pruned_schedules += tree_pruned;
-            let mut report = BugReport {
-                bug: found.bug,
-                iteration: 0,
-                ndc: found.ndc,
-                trace: found.trace,
-                time_to_bug: start.elapsed(),
-                shrink: None,
-            };
-            config.rehydrate_report(&mut report, &setup);
-            config.attach_shrink(&mut report, &setup);
-            return TestReport {
-                bug: Some(report),
-                iterations_run: 1,
-                total_steps: expansion_steps,
-                elapsed: start.elapsed(),
-                scheduler: config.strategy_for_iteration(0).label(),
-                workers,
-                per_strategy: tally.rows,
-            };
-        }
-        // Canonical leaf order: the tree is a pure function of the config,
-        // but discovery order depends on which worker expanded what.
-        // Sorting by decision-path key makes the iteration→leaf assignment
-        // identical at any worker count.
-        leaves.sort_by(|a, b| a.0.cmp(&b.0));
-        if leaves.is_empty() {
-            // Degenerate: every branch vanished into a sleep set. Suffix the
-            // root itself.
-            leaves.push((Vec::new(), Arc::clone(&root)));
-        }
-
-        // Phase 2: distribute the iterations round-robin over the leaves,
-        // claimed chunk-wise from a work-stealing counter exactly like
-        // [`ParallelTestEngine::run`], with the same deterministic
-        // lowest-iteration first-bug selection and step-level cancellation.
-        let total = config.iterations;
-        let next = AtomicU64::new(0);
-        let bug_bound = Arc::new(AtomicU64::new(u64::MAX));
-        let first_bug: Mutex<Option<FirstBug>> = Mutex::new(None);
-        let leaves = &leaves;
-        let tallies: Vec<StrategyTally> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let first_bug = &first_bug;
-                    let bug_bound = Arc::clone(&bug_bound);
-                    scope.spawn(move || {
-                        let mut tally = StrategyTally::new(config);
-                        let mut pooled: Option<Runtime> = None;
-                        loop {
-                            let bound = bug_bound.load(Ordering::Relaxed).min(total);
-                            let claimed = next.load(Ordering::Relaxed);
-                            if claimed >= bound {
-                                break;
-                            }
-                            let chunk = chunk_size(bound - claimed, threads as u64);
-                            let chunk_start = next.fetch_add(chunk, Ordering::Relaxed);
-                            if chunk_start >= total {
-                                break;
-                            }
-                            let chunk_end = (chunk_start + chunk).min(total);
-                            for iteration in chunk_start..chunk_end {
-                                if iteration >= bug_bound.load(Ordering::Relaxed) {
-                                    continue;
-                                }
-                                let seed = config.seed_for_iteration(iteration);
-                                let portfolio_entry =
-                                    config.portfolio_index_for_iteration(iteration);
-                                let strategy = config.strategy_for_iteration(iteration);
-                                let leaf = &leaves[(iteration % leaves.len() as u64) as usize].1;
-                                let runtime = pooled.get_or_insert_with(|| {
-                                    Runtime::new(
-                                        strategy.build(seed, config.max_steps),
-                                        config.runtime_config(),
-                                        seed,
-                                    )
-                                });
-                                runtime.restore_from(leaf);
-                                runtime.set_scheduler(strategy.build(seed, config.max_steps));
-                                runtime.reseed(seed);
-                                runtime.set_cancel_token(CancelToken::new(
-                                    Arc::clone(&bug_bound),
-                                    iteration,
-                                ));
-                                let prefix_steps = runtime.steps() as u64;
-                                let outcome = runtime.run();
-                                let suffix_steps = runtime.steps() as u64 - prefix_steps;
-                                let row = tally.row_mut(portfolio_entry);
-                                row.total_steps += suffix_steps;
-                                row.pruned_schedules += runtime.pruned_equivalents();
-                                row.races_detected += runtime.races_detected();
-                                row.backtracks_scheduled += runtime.backtracks_scheduled();
-                                match outcome {
-                                    ExecutionOutcome::Cancelled => {}
-                                    ExecutionOutcome::BugFound(bug) => {
-                                        row.iterations_run += 1;
-                                        row.bugs_found += 1;
-                                        let ndc = runtime.trace().decision_count();
-                                        let trace = runtime.take_trace();
-                                        let previous =
-                                            bug_bound.fetch_min(iteration, Ordering::Relaxed);
-                                        if previous > iteration {
-                                            let mut slot =
-                                                first_bug.lock().expect("bug slot lock poisoned");
-                                            let lower = slot
-                                                .as_ref()
-                                                .is_none_or(|f| iteration < f.report.iteration);
-                                            if lower {
-                                                *slot = Some(FirstBug {
-                                                    report: BugReport {
-                                                        bug,
-                                                        iteration,
-                                                        ndc,
-                                                        trace,
-                                                        time_to_bug: start.elapsed(),
-                                                        shrink: None,
-                                                    },
-                                                    scheduler: strategy.label(),
-                                                });
-                                            }
-                                        }
-                                    }
-                                    ExecutionOutcome::Quiescent
-                                    | ExecutionOutcome::MaxStepsReached => {
-                                        row.iterations_run += 1;
-                                    }
-                                }
-                            }
-                        }
-                        tally
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("suffix worker panicked"))
-                .collect()
-        });
-        for worker_tally in tallies {
-            tally.merge(worker_tally);
-        }
-        tally.rows[0].pruned_schedules += tree_pruned;
-        let iterations_run = tally.rows.iter().map(|row| row.iterations_run).sum();
-        let total_steps =
-            expansion_steps + tally.rows.iter().map(|row| row.total_steps).sum::<u64>();
-
-        let winner = first_bug.into_inner().expect("bug slot lock poisoned");
-        let scheduler = match &winner {
-            Some(first) => first.scheduler,
-            None => no_bug_label(config),
-        };
-        let winner = winner.map(|mut first| {
-            config.rehydrate_report(&mut first.report, &setup);
-            config.attach_shrink(&mut first.report, &setup);
-            first
-        });
-        TestReport {
-            bug: winner.map(|first| first.report),
-            iterations_run,
-            total_steps,
-            elapsed: start.elapsed(),
-            scheduler,
-            workers,
-            per_strategy: tally.rows,
-        }
-    }
-
-    /// Expands one node in a worker's pooled runtime: forces one step per
-    /// eligible enabled machine, returns children for branches that commit
-    /// to a genuinely different partial order, and turns the node into a
-    /// leaf at depth 0 (or when a branch's state can no longer be captured).
-    ///
-    /// Sibling selection is DPOR-style. The first non-sleeping branch always
-    /// expands; a later sibling expands only when its first step is
-    /// *dependent* with at least one already-expanded sibling's step — a
-    /// race, so the sibling is a backtrack point whose subtree reaches
-    /// states no explored ordering covers. A sibling whose step commutes
-    /// with every expanded sibling is pruned: executions starting with it
-    /// reach, state for state, configurations some expanded sibling's
-    /// subtree also reaches. Sleep sets carry the same commutation argument
-    /// down the tree exactly as before.
-    fn expand_node(
-        runtime: &mut Runtime,
-        node: PrefixNode,
-        out: &mut ExpandOut,
-    ) -> Vec<PrefixNode> {
-        runtime.restore_from(&node.snapshot);
-        let enabled: Vec<MachineId> = runtime.enabled_machines().to_vec();
-        if node.depth == 0 || enabled.is_empty() {
-            out.leaves.push((node.path, node.snapshot));
-            return Vec::new();
-        }
-        let mut children = Vec::new();
-        let mut explored: Vec<(MachineId, StepFootprint)> = Vec::new();
-        for &machine in &enabled {
-            if node.sleep.iter().any(|&(asleep, _)| asleep == machine) {
-                // An equivalent sibling ordering already covers this
-                // branch's entire subtree.
-                out.tree_pruned += 1;
-                continue;
-            }
-            runtime.restore_from(&node.snapshot);
-            if !runtime.force_step(machine) {
-                continue;
-            }
-            out.steps += 1;
-            if let Some(bug) = runtime.bug().cloned() {
-                // The forced prefix itself violates a property; the
-                // smallest decision path across all workers wins.
-                let mut path = node.path.clone();
-                path.push(machine.raw());
-                if out.bug.as_ref().is_none_or(|b| path < b.path) {
-                    out.bug = Some(PrefixBug {
-                        path,
-                        bug,
-                        ndc: runtime.trace().decision_count(),
-                        trace: runtime.take_trace(),
-                    });
-                }
-                continue;
-            }
-            let footprint = runtime.last_footprint().clone();
-            let backtrack_worthy = explored.is_empty()
-                || explored
-                    .iter()
-                    .any(|(_, other)| !other.independent(&footprint));
-            if !backtrack_worthy {
-                // Commutes with every expanded sibling: orderings starting
-                // here are explored inside their subtrees.
-                out.tree_pruned += 1;
-                continue;
-            }
-            let Some(child) = runtime.snapshot() else {
-                // The step enqueued a non-replicable event, so states below
-                // this branch cannot be captured. Keep the node itself as a
-                // leaf instead: its suffix executions still reach every
-                // child ordering through their schedulers.
-                out.leaves
-                    .push((node.path.clone(), Arc::clone(&node.snapshot)));
-                break;
-            };
-            // Sleep-set propagation: the child keeps every sleeping (or
-            // earlier-explored) machine whose step commutes with this
-            // branch's step; dependent ones wake.
-            let sleep = node
-                .sleep
-                .iter()
-                .chain(explored.iter())
-                .filter(|(_, other)| other.independent(&footprint))
-                .cloned()
-                .collect();
-            let mut path = node.path.clone();
-            path.push(machine.raw());
-            children.push(PrefixNode {
-                snapshot: Arc::new(child),
-                path,
-                sleep,
-                depth: node.depth - 1,
-            });
-            explored.push((machine, footprint));
-        }
-        children
-    }
 }
 
 #[cfg(test)]
@@ -2002,7 +1400,7 @@ mod tests {
 
         // And byte-identical across worker counts under prefix sharing.
         let parallel = |workers: usize| {
-            ParallelTestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
+            TestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
                 .run(clone_racey_setup)
         };
         let one = parallel(1);
@@ -2021,69 +1419,6 @@ mod tests {
         let shared = TestEngine::new(base.with_prefix_sharing(true)).run(racey_setup);
         let a = straight.bug.as_ref().expect("bug");
         let b = shared.bug.as_ref().expect("bug");
-        assert_eq!(a.iteration, b.iteration);
-        assert_eq!(a.trace.decisions, b.trace.decisions);
-    }
-
-    #[test]
-    fn prefix_fork_at_depth_zero_matches_straight_line_execution() {
-        let base = TestConfig::new().with_iterations(300).with_seed(9);
-        let straight = TestEngine::new(base.clone()).run(clone_racey_setup);
-        let forked = PrefixForkEngine::new(base, 0).run(clone_racey_setup);
-        let a = straight.bug.as_ref().expect("bug");
-        let b = forked.bug.as_ref().expect("bug");
-        assert_eq!(a.iteration, b.iteration);
-        assert_eq!(a.trace.decisions, b.trace.decisions);
-    }
-
-    #[test]
-    fn prefix_fork_traces_replay_from_scratch() {
-        let base = TestConfig::new().with_iterations(500).with_seed(11);
-        let report = PrefixForkEngine::new(base.clone(), 2).run(clone_racey_setup);
-        let bug = report.bug.expect("forked exploration still finds the bug");
-        // The trace carries the forced prefix decisions, so an ordinary
-        // from-scratch replay reproduces the violation.
-        let replayed = TestEngine::new(base)
-            .replay(&bug.trace, clone_racey_setup)
-            .expect("replay reproduces");
-        assert_eq!(replayed.kind, bug.bug.kind);
-        assert_eq!(replayed.message, bug.bug.message);
-    }
-
-    #[test]
-    fn prefix_fork_prunes_equivalent_sibling_orderings() {
-        // Three machines whose start steps are local (no sends, no monitor):
-        // all 3! orderings of the first two tree levels are equivalent, so
-        // sleep sets must prune the redundant sibling subtrees.
-        #[derive(Clone)]
-        struct Loner;
-        impl Machine for Loner {
-            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
-            fn clone_state(&self) -> Option<Box<dyn Machine>> {
-                Some(Box::new(self.clone()))
-            }
-        }
-        let report = PrefixForkEngine::new(TestConfig::new().with_iterations(10), 2).run(|rt| {
-            rt.create_machine(Loner);
-            rt.create_machine(Loner);
-            rt.create_machine(Loner);
-        });
-        assert!(!report.found_bug());
-        assert_eq!(report.iterations_run, 10);
-        let pruned: u64 = report.per_strategy.iter().map(|r| r.pruned_schedules).sum();
-        assert!(
-            pruned >= 3,
-            "independent sibling orderings must be pruned, got {pruned}"
-        );
-    }
-
-    #[test]
-    fn prefix_fork_falls_back_when_not_snapshotable() {
-        let base = TestConfig::new().with_iterations(300).with_seed(7);
-        let straight = TestEngine::new(base.clone()).run(racey_setup);
-        let forked = PrefixForkEngine::new(base, 3).run(racey_setup);
-        let a = straight.bug.as_ref().expect("bug");
-        let b = forked.bug.as_ref().expect("bug");
         assert_eq!(a.iteration, b.iteration);
         assert_eq!(a.trace.decisions, b.trace.decisions);
     }

@@ -15,7 +15,7 @@ use std::fmt;
 /// Debug` type can be used as an event payload. Implementors do not need to
 /// do anything beyond deriving [`Debug`]. (`Sync` is required so that
 /// runtime snapshots — which carry queued events for copy-on-write forks —
-/// can be shared across the worker threads of the parallel engines.)
+/// can be shared across threads.)
 ///
 /// # Examples
 ///

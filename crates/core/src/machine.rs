@@ -92,9 +92,8 @@ impl fmt::Display for MachineId {
 /// }
 /// ```
 /// Machines are `Send + Sync` so that runtime snapshots (which share machine
-/// state copy-on-write via `Arc<dyn Machine>`) can cross the worker threads
-/// of the parallel engines. Machine state holding `Rc`/`RefCell` should use
-/// `Arc`/`Mutex` instead.
+/// state copy-on-write via `Arc<dyn Machine>`) can cross threads. Machine
+/// state holding `Rc`/`RefCell` should use `Arc`/`Mutex` instead.
 pub trait Machine: AsAny + Send + Sync + 'static {
     /// Invoked once, before the machine handles its first event.
     ///

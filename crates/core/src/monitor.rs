@@ -82,8 +82,7 @@ impl<T: Any> AsAny for T {
 /// }
 /// ```
 /// Monitors are `Send + Sync` so that runtime snapshots (which carry monitor
-/// state for copy-on-write forks) can be shared across the worker threads of
-/// the parallel engines.
+/// state for copy-on-write forks) can be shared across threads.
 pub trait Monitor: AsAny + Send + Sync + 'static {
     /// Handles a notification published by a machine via
     /// [`Context::notify_monitor`](crate::runtime::Context::notify_monitor).

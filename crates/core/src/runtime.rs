@@ -14,8 +14,8 @@
 //! * no machine is enabled (quiescence); or
 //! * the configured step bound is reached — the bounded approximation of an
 //!   "infinite" execution used for liveness checking (§2.5 of the paper); or
-//! * a [`CancelToken`] installed by the parallel engine fires, aborting the
-//!   execution mid-step.
+//! * a [`CancelToken`] installed by a multi-worker engine run fires,
+//!   aborting the execution mid-step.
 //!
 //! # Hot-path discipline
 //!
@@ -57,16 +57,16 @@ pub enum ExecutionOutcome {
     /// The step bound was reached without a violation.
     MaxStepsReached,
     /// A [`CancelToken`] fired and the execution was abandoned mid-step
-    /// (used by the parallel engine for step-level cancellation; partial
+    /// (used by multi-worker engine runs for step-level cancellation; partial
     /// results of a cancelled execution must be discarded).
     Cancelled,
 }
 
 /// Cooperative cancellation handle polled by the runtime once per step.
 ///
-/// The parallel engine publishes the lowest iteration index known to contain
-/// a bug in a shared atomic; a token cancels its execution as soon as that
-/// bound drops to (or below) the execution's own iteration index. Executions
+/// A multi-worker engine run publishes the lowest iteration index known to
+/// contain a bug in a shared atomic; a token cancels its execution as soon as
+/// that bound drops to (or below) the execution's own iteration index. Executions
 /// at iterations *below* the bound are never cancelled — they must complete
 /// so the engine's first-bug selection stays deterministic — while doomed
 /// executions above it stop at the next step instead of wasting up to
@@ -1370,7 +1370,7 @@ impl Runtime {
 
     /// Executes exactly one step of the given machine, bypassing the
     /// scheduler's choice (the decision is still recorded, so the trace
-    /// replays). Used by prefix-tree engines to expand a specific branch.
+    /// replays). Lets a caller expand one specific branch from a snapshot.
     ///
     /// Returns `false` — without stepping — when the machine is not
     /// currently enabled or a bug is already pending.
@@ -1467,10 +1467,10 @@ impl Runtime {
         let id = NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed);
         if self.cow_origin.is_none() {
             // Dirty tracking starts (or restarts) relative to this snapshot.
-            // When an origin is already being tracked it is kept: prefix-tree
-            // engines interleave child snapshots with restores of the parent,
-            // and re-originating here would turn every one of those restores
-            // into a full rebuild.
+            // When an origin is already being tracked it is kept: a caller
+            // that interleaves child snapshots with restores of the parent
+            // would otherwise turn every one of those restores into a full
+            // rebuild.
             self.cow_origin = Some(id);
             self.dirty.clear();
             self.monitor_dirty.iter_mut().for_each(|flag| *flag = false);

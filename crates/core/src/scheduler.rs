@@ -132,7 +132,7 @@ impl StepFootprint {
 ///
 /// Schedulers are `Send + Sync` so that runtime snapshots (which carry the
 /// scheduler's mid-execution state for copy-on-write forks) can be shared
-/// across the worker threads of the parallel engines.
+/// across threads.
 pub trait Scheduler: Send + Sync {
     /// Short human-readable name ("random", "pct", ...).
     fn name(&self) -> &'static str;

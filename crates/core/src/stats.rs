@@ -133,8 +133,7 @@ impl fmt::Display for ModelStats {
 /// Exploration statistics attributed to one scheduling strategy of a
 /// (portfolio) testing run.
 ///
-/// Produced by [`TestEngine::run`](crate::engine::TestEngine::run) and
-/// [`ParallelTestEngine::run`](crate::engine::ParallelTestEngine::run): one
+/// Produced by [`TestEngine::run`](crate::engine::TestEngine::run): one
 /// row per distinct strategy in the portfolio (a single row outside
 /// portfolio mode), in portfolio order. Attribution keys off the iteration's
 /// assigned strategy
@@ -150,7 +149,7 @@ pub struct StrategyStats {
     /// Executions this strategy explored to completion.
     pub iterations_run: u64,
     /// Machine steps executed under this strategy (including partial work of
-    /// executions the parallel engine cancelled mid-flight).
+    /// executions cancelled mid-flight).
     pub total_steps: u64,
     /// Property violations this strategy found (0 or 1 today: runs stop at
     /// the first bug).

@@ -15,23 +15,36 @@
 //! trace vectors from scratch.
 //!
 //! These tests live alone in their integration-test binary (a global
-//! allocator is process-wide) and serialize their measurement windows on a
-//! mutex so libtest's default parallelism cannot cross-pollute the counter.
+//! allocator is process-wide). The counter is armed per thread, so only the
+//! measuring thread's allocations count: libtest runs sibling tests'
+//! unmeasured setup concurrently on other threads, and counting those made
+//! the budgets fail at random on multi-core hosts. Measurement windows are
+//! still serialized on a mutex because the tallies themselves are shared.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use psharp::prelude::*;
 
-/// Counts every allocation (and growth `realloc`) while armed, and tracks
-/// the net live bytes plus their high-water mark.
+/// Counts every allocation (and growth `realloc`) the armed thread makes,
+/// and tracks the net live bytes plus their high-water mark.
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Whether this thread's allocations count. `const`-initialized and
+    /// free of destructors, so reading it never allocates or registers a
+    /// destructor, which keeps it safe inside `GlobalAlloc`.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 fn track_alloc(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
@@ -39,26 +52,34 @@ fn track_alloc(bytes: usize) {
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping around each call only
+// reads a const thread-local and updates atomics, so it never allocates or
+// re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             track_alloc(layout.size());
         }
+        // SAFETY: the caller's `layout` contract is passed on to `System`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         }
+        // SAFETY: `ptr` came from `System` (every allocation is forwarded
+        // there) with this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             track_alloc(new_size);
             LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         }
+        // SAFETY: as for `dealloc`; the caller guarantees `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -66,8 +87,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Serializes measurement windows: the counter is process-global, so two
-/// tests measuring concurrently would count each other's allocations.
+/// Serializes measurement windows: the tallies are process-global, so two
+/// tests measuring concurrently would count into the same totals.
 static MEASURE: Mutex<()> = Mutex::new(());
 
 /// One armed measurement window: allocation count, peak net-new live bytes,
@@ -77,9 +98,9 @@ fn measure<R>(body: impl FnOnce() -> R) -> (u64, u64, R) {
     ALLOCATIONS.store(0, Ordering::SeqCst);
     LIVE_BYTES.store(0, Ordering::SeqCst);
     PEAK_BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(true));
     let result = body();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|armed| armed.set(false));
     (
         ALLOCATIONS.load(Ordering::SeqCst),
         PEAK_BYTES.load(Ordering::SeqCst).max(0) as u64,
@@ -496,11 +517,11 @@ fn low_dirty_fork_at_ten_thousand_machines_costs_o_dirty_not_o_machines() {
     assert_eq!(rt.steps(), TOTAL);
 }
 
-/// One branch expansion of the parallel prefix-tree engine — rewinding a
-/// worker's pooled runtime to the node snapshot, forcing one scheduling
+/// One prefix-tree branch expansion through the runtime's public API —
+/// rewinding a pooled runtime to a node snapshot, forcing one scheduling
 /// step, and capturing the child snapshot — runs in a small constant budget
-/// once the worker's pools are warm, *independent of how long the suffix the
-/// rewind discards ran*. This is what makes tree forks "cheap": expanding a
+/// once the runtime's pools are warm, *independent of how long the suffix
+/// the rewind discards ran*. This is what makes forks "cheap": expanding a
 /// node costs O(machines + dirty), never O(steps).
 #[test]
 fn parallel_tree_branch_expansion_stays_within_a_constant_allocation_budget() {

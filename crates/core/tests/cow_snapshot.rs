@@ -14,7 +14,10 @@
 //! (COW) and the other through `restore_from_full` (the oracle), and checks
 //! full observable equality after *every* operation.
 
-use psharp::engine::{ParallelTestEngine, TestConfig, TestEngine, TestReport};
+mod oracle;
+
+use oracle::Reference;
+use psharp::engine::{TestConfig, TestEngine};
 use psharp::prelude::*;
 use psharp::scheduler::RandomScheduler;
 
@@ -256,8 +259,8 @@ fn cow_restore_is_byte_identical_to_full_restore() {
 }
 
 /// Restoring from a *parent* snapshot after taking child snapshots (the
-/// `PrefixForkEngine` pattern: snapshot at depth d, fork children, rewind to
-/// the parent) must also stay on the incremental path and match the oracle.
+/// prefix-tree pattern: snapshot at depth d, fork children, rewind to the
+/// parent) must also stay on the incremental path and match the oracle.
 #[test]
 fn nested_snapshots_rewind_to_the_parent_identically() {
     let mut cow = new_runtime(3);
@@ -297,7 +300,8 @@ fn nested_snapshots_rewind_to_the_parent_identically() {
 
 /// Engine-level identity: with prefix sharing (the COW restore consumer),
 /// sleep-set scheduling and fault injection composed, reports must be
-/// byte-identical to straight-line execution at 1, 2, 4 and 8 workers.
+/// byte-identical at 1, 2, 4 and 8 workers to straight-line execution in the
+/// reference loop of `oracle` (a fresh runtime per iteration).
 #[test]
 fn prefix_shared_fault_injection_reports_are_identical_at_any_worker_count() {
     fn setup(rt: &mut Runtime) {
@@ -321,37 +325,12 @@ fn prefix_shared_fault_injection_reports_are_identical_at_any_worker_count() {
         .with_scheduler(SchedulerKind::sleep_set())
         .with_faults(faults);
 
-    let fingerprint = |report: &TestReport| {
-        (
-            report.iterations_run,
-            report.total_steps,
-            report
-                .bug
-                .as_ref()
-                .map(|bug| (bug.iteration, bug.trace.decisions.clone())),
-        )
-    };
-
+    let reference = Reference::run(&base, setup);
     let straight = TestEngine::new(base.clone()).run(setup);
-    let shared = TestEngine::new(base.clone().with_prefix_sharing(true)).run(setup);
-    assert_eq!(
-        fingerprint(&straight),
-        fingerprint(&shared),
-        "prefix sharing changed the serial outcome"
-    );
-
+    reference.assert_matches(&straight, "straight-line");
     for workers in [1usize, 2, 4, 8] {
-        let parallel =
-            ParallelTestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
-                .run(setup);
-        let a = straight
-            .bug
-            .as_ref()
-            .map(|b| (b.iteration, &b.trace.decisions));
-        let b = parallel
-            .bug
-            .as_ref()
-            .map(|b| (b.iteration, &b.trace.decisions));
-        assert_eq!(a, b, "outcome diverged at {workers} workers");
+        let shared = TestEngine::new(base.clone().with_prefix_sharing(true).with_workers(workers))
+            .run(setup);
+        reference.assert_matches(&shared, &format!("prefix sharing, {workers} workers"));
     }
 }

@@ -1,10 +1,13 @@
 //! Determinism regression tests: for every [`SchedulerKind`], two runs with
 //! the same seed produce identical traces and identical [`TestReport`]
-//! counters — with the serial engine, with the parallel engine at one worker
-//! (which must be bit-identical to serial), and with the parallel engine at
-//! N workers (whose counters are deterministic for bug-free runs because
-//! every worker exhausts its stripe of the iteration space).
+//! counters — at one worker, which must be bit-identical to the
+//! engine-independent reference loop in `oracle`, and at N workers (whose
+//! counters are deterministic for bug-free runs because every worker
+//! exhausts its share of the iteration space).
 
+mod oracle;
+
+use oracle::Reference;
 use psharp::prelude::*;
 
 /// Two writers race to flip a flag machine; one interleaving violates the
@@ -136,9 +139,8 @@ fn serial_runs_are_identical_for_every_scheduler() {
 #[test]
 fn single_worker_parallel_run_is_bit_identical_to_serial() {
     for kind in every_kind() {
-        let serial = TestEngine::new(config(kind)).run(racey::setup);
-        let parallel = ParallelTestEngine::new(config(kind).with_workers(1)).run(racey::setup);
-        assert_reports_identical(&serial, &parallel, kind.label());
+        let report = TestEngine::new(config(kind).with_workers(1)).run(racey::setup);
+        Reference::run(&config(kind), racey::setup).assert_matches(&report, kind.label());
     }
 }
 
@@ -147,7 +149,7 @@ fn n_worker_runs_are_identical_for_every_scheduler_on_clean_harness() {
     // With no bug to race for, every worker exhausts its stripe, so the
     // merged counters are independent of thread timing.
     for kind in every_kind() {
-        let make = || ParallelTestEngine::new(config(kind).with_workers(3)).run(clean::setup);
+        let make = || TestEngine::new(config(kind).with_workers(3)).run(clean::setup);
         let first = make();
         let second = make();
         assert_reports_identical(&first, &second, kind.label());
@@ -159,24 +161,17 @@ fn n_worker_runs_are_identical_for_every_scheduler_on_clean_harness() {
 #[test]
 fn n_worker_run_covers_the_same_seed_space_as_serial() {
     // A bug-free run explores every iteration regardless of worker count, so
-    // the total step count must match the serial engine exactly: each global
-    // iteration keeps its serial seed.
+    // the whole report — steps included — must match the in-order reference
+    // loop exactly: each global iteration keeps its seed.
     for kind in every_kind() {
-        let serial = TestEngine::new(config(kind)).run(clean::setup);
-        let sharded = ParallelTestEngine::new(config(kind).with_workers(4)).run(clean::setup);
-        assert_eq!(
-            serial.total_steps,
-            sharded.total_steps,
-            "{}: same executions, same steps",
-            kind.label()
-        );
-        assert_eq!(serial.iterations_run, sharded.iterations_run);
+        let sharded = TestEngine::new(config(kind).with_workers(4)).run(clean::setup);
+        Reference::run(&config(kind), clean::setup).assert_matches(&sharded, kind.label());
     }
 }
 
 #[test]
 fn portfolio_attribution_covers_every_iteration() {
-    let report = ParallelTestEngine::new(
+    let report = TestEngine::new(
         TestConfig::new()
             .with_iterations(120)
             .with_seed(9)

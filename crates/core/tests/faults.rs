@@ -4,6 +4,9 @@
 //! reduction to a minimum fault set, and determinism across engines and
 //! worker counts.
 
+mod oracle;
+
+use oracle::Reference;
 use psharp::prelude::*;
 use psharp::scheduler::{ReplayScheduler, Scheduler};
 use psharp::shrink::shrink_trace;
@@ -532,22 +535,14 @@ fn fault_induced_bug_is_found_replayed_and_shrunk_to_its_fault_set() {
 
 #[test]
 fn fault_reports_are_identical_across_engines_and_worker_counts() {
+    // The decision stream — injected faults included — must match the
+    // reference loop's byte for byte at every worker count.
     let config = fragile_config();
-    let serial = TestEngine::new(config.clone()).run(fragile_setup);
-    let serial_bug = serial.bug.expect("serial run finds the bug");
+    let reference = Reference::run(&config, fragile_setup);
+    assert!(reference.bug.is_some(), "the reference loop finds the bug");
     for workers in [1usize, 2, 8] {
-        let parallel =
-            ParallelTestEngine::new(config.clone().with_workers(workers)).run(fragile_setup);
-        let bug = parallel
-            .bug
-            .unwrap_or_else(|| panic!("{workers}-worker run finds the bug"));
-        assert_eq!(bug.iteration, serial_bug.iteration, "workers={workers}");
-        assert_eq!(bug.trace.seed, serial_bug.trace.seed, "workers={workers}");
-        assert_eq!(
-            bug.trace.decisions, serial_bug.trace.decisions,
-            "workers={workers}: the decision stream (faults included) must be byte-identical"
-        );
-        assert_eq!(bug.bug.message, serial_bug.bug.message, "workers={workers}");
+        let report = TestEngine::new(config.clone().with_workers(workers)).run(fragile_setup);
+        reference.assert_matches(&report, &format!("workers={workers}"));
     }
 }
 

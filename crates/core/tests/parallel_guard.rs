@@ -1,4 +1,4 @@
-//! Guard tests for the parallel engine's serialization contract: a single
+//! Guard tests for the multi-worker engine's serialization contract: a single
 //! execution is only ever stepped by one thread at a time (machines never
 //! observe intra-execution parallelism), and the first bug found cancels all
 //! in-flight workers at their next iteration boundary.
@@ -52,7 +52,7 @@ impl Machine for SerialSection {
 fn workers_never_step_one_execution_concurrently() {
     let total_entries = Arc::new(AtomicU64::new(0));
     let entries = Arc::clone(&total_entries);
-    let report = ParallelTestEngine::new(
+    let report = TestEngine::new(
         TestConfig::new()
             .with_iterations(300)
             .with_seed(3)
@@ -96,7 +96,7 @@ impl Machine for RareBug {
 #[test]
 fn first_bug_cancels_in_flight_workers() {
     let budget = 1_000_000;
-    let report = ParallelTestEngine::new(
+    let report = TestEngine::new(
         TestConfig::new()
             .with_iterations(budget)
             .with_seed(5)

@@ -1,7 +1,11 @@
 //! Integration tests for the schedule-shrinking subsystem: reduction
-//! quality, replay verification, idempotence, determinism across engines and
-//! worker counts, and the interplay with bounded trace modes.
+//! quality, replay verification, idempotence, determinism across worker
+//! counts and against the reference loop in `oracle`, and the interplay with
+//! bounded trace modes.
 
+mod oracle;
+
+use oracle::Reference;
 use psharp::json::{FromJson, ToJson};
 use psharp::prelude::*;
 
@@ -160,32 +164,17 @@ fn shrink_is_idempotent_on_a_minimized_trace() {
 
 #[test]
 fn shrink_output_is_byte_identical_across_engines_and_worker_counts() {
-    let serial = TestEngine::new(shrinking_config()).run(noisy_racey_setup);
-    let reference = serial.bug.expect("serial engine finds the bug");
-    let reference_json = reference
-        .shrink
+    let reference = Reference::run(&shrinking_config(), noisy_racey_setup);
+    let expected = reference
+        .bug
         .as_ref()
-        .expect("shrink ran")
-        .minimized
-        .to_json()
-        .expect("serialize");
+        .expect("the reference loop finds the bug");
+    assert!(expected.shrink.is_some(), "shrink ran");
 
     for workers in [1usize, 2, 8] {
-        let parallel = ParallelTestEngine::new(shrinking_config().with_workers(workers))
-            .run(noisy_racey_setup);
-        let report = parallel.bug.expect("parallel engine finds the bug");
-        assert_eq!(report.iteration, reference.iteration, "{workers} workers");
-        let json = report
-            .shrink
-            .as_ref()
-            .expect("shrink ran")
-            .minimized
-            .to_json()
-            .expect("serialize");
-        assert_eq!(
-            json, reference_json,
-            "minimized trace differs at {workers} workers"
-        );
+        let report =
+            TestEngine::new(shrinking_config().with_workers(workers)).run(noisy_racey_setup);
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }
 

@@ -1,8 +1,11 @@
-//! Determinism of the work-stealing parallel engine's first-bug selection:
-//! whatever the worker count, the reported bug must be the one at the lowest
-//! iteration index — i.e. exactly the bug the serial engine reports — with an
-//! identical seed, trace and message.
+//! Determinism of the work-stealing engine's first-bug selection: whatever
+//! the worker count, the reported bug must be the one at the lowest
+//! iteration index — i.e. exactly the bug the in-order reference loop in
+//! `oracle` finds — with an identical seed, trace and message.
 
+mod oracle;
+
+use oracle::Reference;
 use psharp::prelude::*;
 
 /// A harness where many iterations are buggy (≈1 in 8), so under parallel
@@ -27,37 +30,21 @@ fn config() -> TestConfig {
 
 #[test]
 fn work_stealing_reports_the_serial_first_bug_at_any_worker_count() {
-    let serial = TestEngine::new(config()).run(frequently_buggy);
-    let expected = serial.bug.expect("serial run finds a bug");
+    let reference = Reference::run(&config(), frequently_buggy);
+    assert!(reference.bug.is_some(), "the reference loop finds a bug");
 
-    for workers in [2usize, 4, 8] {
-        let parallel =
-            ParallelTestEngine::new(config().with_workers(workers)).run(frequently_buggy);
-        let found = parallel
-            .bug
-            .unwrap_or_else(|| panic!("{workers}-worker run must find the bug"));
-        assert_eq!(
-            found.iteration, expected.iteration,
-            "{workers} workers: lowest buggy iteration wins"
-        );
-        assert_eq!(found.trace, expected.trace, "{workers} workers: same trace");
-        assert_eq!(
-            found.trace.seed, expected.trace.seed,
-            "{workers} workers: same seed"
-        );
-        assert_eq!(
-            found.bug.message, expected.bug.message,
-            "{workers} workers: same bug"
-        );
+    for workers in [1usize, 2, 4, 8] {
+        let report = TestEngine::new(config().with_workers(workers)).run(frequently_buggy);
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }
 
 #[test]
 fn repeated_parallel_runs_agree_with_each_other() {
-    let reference = ParallelTestEngine::new(config().with_workers(4)).run(frequently_buggy);
+    let reference = TestEngine::new(config().with_workers(4)).run(frequently_buggy);
     let reference = reference.bug.expect("bug found");
     for _ in 0..3 {
-        let again = ParallelTestEngine::new(config().with_workers(4)).run(frequently_buggy);
+        let again = TestEngine::new(config().with_workers(4)).run(frequently_buggy);
         let again = again.bug.expect("bug found");
         assert_eq!(again.iteration, reference.iteration);
         assert_eq!(again.trace, reference.trace);
@@ -91,35 +78,18 @@ fn portfolio_config() -> TestConfig {
 
 #[test]
 fn portfolio_run_reports_the_serial_result_at_any_worker_count() {
-    // The serial engine is the reference: per-iteration strategy assignment
-    // makes the portfolio deterministic, so every worker count must
-    // reproduce the serial (iteration, seed, strategy, bug) result exactly.
-    let serial = TestEngine::new(portfolio_config()).run(occasionally_buggy);
-    let expected = serial.bug.expect("serial portfolio run finds a bug");
+    // Per-iteration strategy assignment makes the portfolio deterministic,
+    // so every worker count must reproduce the in-order reference loop's
+    // (iteration, seed, strategy, bug) result exactly. The run records
+    // decisions only and rehydrates the winner's trace by replay; the
+    // reference records the full schedule directly.
+    let reference = Reference::run(&portfolio_config(), occasionally_buggy);
+    assert!(reference.bug.is_some(), "the reference loop finds a bug");
 
     for workers in [1usize, 2, 8] {
-        let parallel = ParallelTestEngine::new(portfolio_config().with_workers(workers))
-            .run(occasionally_buggy);
-        let found = parallel
-            .bug
-            .unwrap_or_else(|| panic!("{workers}-worker portfolio run must find the bug"));
-        assert_eq!(
-            found.iteration, expected.iteration,
-            "{workers} workers: same winning iteration"
-        );
-        assert_eq!(
-            found.trace.seed, expected.trace.seed,
-            "{workers} workers: same seed"
-        );
-        assert_eq!(found.trace, expected.trace, "{workers} workers: same trace");
-        assert_eq!(
-            parallel.scheduler, serial.scheduler,
-            "{workers} workers: same winning strategy label"
-        );
-        assert_eq!(
-            found.bug.message, expected.bug.message,
-            "{workers} workers: same bug"
-        );
+        let report =
+            TestEngine::new(portfolio_config().with_workers(workers)).run(occasionally_buggy);
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }
 
@@ -128,47 +98,21 @@ fn pooled_runtime_reports_are_identical_at_1_2_4_8_workers() {
     // Per-worker runtime pooling (`Runtime::reset` between iterations) must
     // not leak any state — machines, mailbox contents, fault markings, name
     // table — from one iteration into the next: the full report, including
-    // the shrink pass over the winner, is the serial one at every worker
-    // count, and the minimized counterexample is byte-identical.
+    // the shrink pass over the winner, matches the reference loop's fresh
+    // runtime per iteration at every worker count, and the minimized
+    // counterexample is byte-identical.
     let config = || portfolio_config().with_shrink(true);
-    let serial = TestEngine::new(config()).run(occasionally_buggy);
-    let expected = serial.bug.as_ref().expect("serial run finds a bug");
-    let expected_min = expected.minimized().expect("shrink pass ran");
+    let reference = Reference::run(&config(), occasionally_buggy);
+    let expected = reference
+        .bug
+        .as_ref()
+        .expect("the reference loop finds a bug");
+    assert!(expected.shrink.is_some(), "shrink pass ran");
 
     for workers in [1usize, 2, 4, 8] {
-        let parallel =
-            ParallelTestEngine::new(config().with_workers(workers)).run(occasionally_buggy);
-        let found = parallel
-            .bug
-            .as_ref()
-            .unwrap_or_else(|| panic!("{workers}-worker run must find the bug"));
-        assert_eq!(
-            found.iteration, expected.iteration,
-            "{workers} workers: same winning iteration"
-        );
-        assert_eq!(
-            found.trace.seed, expected.trace.seed,
-            "{workers} workers: same seed"
-        );
-        assert_eq!(found.trace, expected.trace, "{workers} workers: same trace");
-        assert_eq!(
-            parallel.scheduler, serial.scheduler,
-            "{workers} workers: same winning strategy"
-        );
-        assert_eq!(
-            found.bug.message, expected.bug.message,
-            "{workers} workers: same bug"
-        );
-        let minimized = found.minimized().expect("shrink pass ran");
-        assert_eq!(
-            minimized, expected_min,
-            "{workers} workers: same minimized counterexample"
-        );
-        assert_eq!(
-            minimized.to_json().expect("serializable"),
-            expected_min.to_json().expect("serializable"),
-            "{workers} workers: byte-identical minimized trace"
-        );
+        let report = TestEngine::new(config().with_workers(workers)).run(occasionally_buggy);
+        assert!(report.bug.as_ref().is_some_and(|bug| bug.shrink.is_some()));
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }
 
@@ -176,7 +120,7 @@ fn pooled_runtime_reports_are_identical_at_1_2_4_8_workers() {
 fn bug_free_portfolio_reports_are_identical_at_any_worker_count() {
     // Without a bug to race for, the whole TestReport — winning label,
     // counters and the per-strategy attribution rows — must be identical for
-    // 1, 2 and 8 workers and match the serial engine.
+    // 1, 2 and 8 workers and match the reference loop.
     fn clean(rt: &mut Runtime) {
         struct Quiet;
         impl Machine for Quiet {
@@ -194,24 +138,12 @@ fn bug_free_portfolio_reports_are_identical_at_any_worker_count() {
             .with_seed(41)
             .with_default_portfolio()
     };
-    let serial = TestEngine::new(base()).run(clean);
-    assert!(!serial.found_bug());
-    assert_eq!(serial.scheduler, "portfolio");
+    let reference = Reference::run(&base(), clean);
+    assert!(reference.bug.is_none());
+    assert_eq!(reference.scheduler, "portfolio");
 
     for workers in [1usize, 2, 8] {
-        let parallel = ParallelTestEngine::new(base().with_workers(workers)).run(clean);
-        assert_eq!(
-            parallel.iterations_run, serial.iterations_run,
-            "{workers} workers"
-        );
-        assert_eq!(
-            parallel.total_steps, serial.total_steps,
-            "{workers} workers"
-        );
-        assert_eq!(parallel.scheduler, serial.scheduler, "{workers} workers");
-        assert_eq!(
-            parallel.per_strategy, serial.per_strategy,
-            "{workers} workers: identical per-strategy attribution"
-        );
+        let report = TestEngine::new(base().with_workers(workers)).run(clean);
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }

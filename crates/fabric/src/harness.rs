@@ -125,7 +125,7 @@ pub fn build_harness(rt: &mut Runtime, config: &FabricConfig) -> FabricHarness {
 /// have had serially.
 pub fn portfolio_hunt(config: &FabricConfig, test: TestConfig) -> TestReport {
     let config = *config;
-    ParallelTestEngine::new(test).run(move |rt| {
+    TestEngine::new(test).run(move |rt| {
         build_harness(rt, &config);
     })
 }

@@ -330,7 +330,7 @@ pub fn build_harness(rt: &mut Runtime, config: &MegaKvConfig) -> MegaKvHarness {
 /// run; iteration seeds match a serial run regardless of worker count.
 pub fn portfolio_hunt(config: &MegaKvConfig, test: TestConfig) -> TestReport {
     let config = config.clone();
-    ParallelTestEngine::new(test).run(move |rt| {
+    TestEngine::new(test).run(move |rt| {
         build_harness(rt, &config);
     })
 }

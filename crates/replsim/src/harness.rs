@@ -162,7 +162,7 @@ pub fn build_harness(rt: &mut Runtime, config: &ReplConfig) -> ReplHarness {
 /// have had serially.
 pub fn portfolio_hunt(config: &ReplConfig, test: TestConfig) -> TestReport {
     let config = *config;
-    ParallelTestEngine::new(test).run(move |rt| {
+    TestEngine::new(test).run(move |rt| {
         build_harness(rt, &config);
     })
 }

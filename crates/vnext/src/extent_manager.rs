@@ -24,7 +24,7 @@ use crate::types::{EnId, EnMessage, ExtMgrMessage, ExtentId};
 /// overrides it with a modeled engine that relays messages through the
 /// systematic-testing runtime. Engines are `Send + Sync` because the manager
 /// (and the harness machine that wraps it) is carried inside runtime
-/// snapshots, which the parallel engines share across worker threads.
+/// snapshots, which may be shared across threads.
 pub trait NetworkEngine: Send + Sync {
     /// Sends `message` to the EN `target`.
     fn send_message(&mut self, target: EnId, message: ExtMgrMessage);

@@ -174,7 +174,7 @@ pub fn build_harness(rt: &mut Runtime, config: &VnextConfig) -> VnextHarness {
 /// have had serially.
 pub fn portfolio_hunt(config: &VnextConfig, test: TestConfig) -> TestReport {
     let config = *config;
-    ParallelTestEngine::new(test).run(move |rt| {
+    TestEngine::new(test).run(move |rt| {
         build_harness(rt, &config);
     })
 }

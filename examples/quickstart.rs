@@ -117,7 +117,7 @@ fn main() {
     println!("\n-- fixed system (lossy network) --");
     println!("{}", report.summary());
 
-    // 5. The parallel portfolio engine: shard the same safety hunt over all
+    // 5. A parallel portfolio run: shard the same safety hunt over all
     //    cores, mixing every scheduling strategy of the default portfolio.
     //    The strategy driving an iteration is decided by the iteration
     //    index, so the run reports the identical (iteration, seed, strategy,

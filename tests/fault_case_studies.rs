@@ -14,6 +14,10 @@
 //! so the original recording carries surplus faults for the shrinker to
 //! delete.
 
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
+
+use oracle::Reference;
 use psharp::prelude::*;
 use psharp::trace::Decision;
 
@@ -181,56 +185,24 @@ fn every_fault_induced_bug_is_found_shrunk_to_its_fault_set_and_verified() {
 #[test]
 fn fault_reports_are_byte_identical_at_1_2_and_8_workers() {
     for case in cases() {
-        let serial = TestEngine::new(config_for(&case)).run(case.build);
-        let reference = serial
+        let reference = Reference::run(&config_for(&case), case.build);
+        let expected = reference
             .bug
-            .unwrap_or_else(|| panic!("{}: serial run finds the bug", case.name));
-        let reference_minimized = reference
-            .shrink
             .as_ref()
-            .expect("shrink ran")
-            .minimized
-            .to_json()
-            .expect("serialize");
+            .unwrap_or_else(|| panic!("{}: the reference loop finds the bug", case.name));
         for workers in [1usize, 2, 8] {
-            let parallel =
-                ParallelTestEngine::new(config_for(&case).with_workers(workers)).run(case.build);
-            let found = parallel
+            let report = TestEngine::new(config_for(&case).with_workers(workers)).run(case.build);
+            let context = format!("{} workers={workers}", case.name);
+            let found = report
                 .bug
-                .unwrap_or_else(|| panic!("{}: {workers}-worker run finds the bug", case.name));
-            assert_eq!(
-                found.iteration, reference.iteration,
-                "{} workers={workers}",
-                case.name
-            );
-            assert_eq!(
-                found.trace.seed, reference.trace.seed,
-                "{} workers={workers}",
-                case.name
-            );
+                .as_ref()
+                .unwrap_or_else(|| panic!("{context}: the run finds the bug"));
             assert_eq!(
                 fault_decisions(&found.trace),
-                fault_decisions(&reference.trace),
-                "{} workers={workers}: the injected fault set must be identical",
-                case.name
+                fault_decisions(&expected.trace),
+                "{context}: the injected fault set must be identical"
             );
-            assert_eq!(
-                found.bug.message, reference.bug.message,
-                "{} workers={workers}",
-                case.name
-            );
-            let minimized = found
-                .shrink
-                .as_ref()
-                .expect("shrink ran")
-                .minimized
-                .to_json()
-                .expect("serialize");
-            assert_eq!(
-                minimized, reference_minimized,
-                "{} workers={workers}: minimized counterexample must be byte-identical",
-                case.name
-            );
+            reference.assert_matches(&report, &context);
         }
     }
 }

@@ -1,8 +1,13 @@
 //! Shrink acceptance across the case-study crates: for a seeded bug in
 //! each crate, the shrink pass produces a minimized trace that (a) replays
 //! to the same bug, (b) has strictly fewer decisions than the original
-//! recording, and (c) is byte-identical across engines and worker counts.
+//! recording, and (c) is byte-identical across worker counts and against the
+//! engine-independent reference loop in `oracle`.
 
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
+
+use oracle::Reference;
 use psharp::prelude::*;
 
 struct Case {
@@ -119,32 +124,15 @@ fn every_case_study_bug_shrinks_to_a_replayable_smaller_trace() {
 
 #[test]
 fn shrink_output_is_byte_identical_across_worker_counts() {
-    // One representative case (the fastest seeded bug) across the serial
-    // engine and several parallel worker counts: the whole (bug, iteration,
-    // minimized trace) tuple must be reproducible byte for byte.
+    // One representative case (the fastest seeded bug) across the reference
+    // loop and several worker counts: the whole (bug, iteration, minimized
+    // trace) tuple must be reproducible byte for byte.
     let case = &cases()[0];
-    let serial = TestEngine::new(config_for(case)).run(case.build);
-    let reference = serial.bug.expect("serial engine finds the bug");
-    let reference_json = reference
-        .shrink
-        .as_ref()
-        .expect("shrink ran")
-        .minimized
-        .to_json()
-        .expect("serialize");
+    let reference = Reference::run(&config_for(case), case.build);
+    assert!(reference.bug.is_some(), "the reference loop finds the bug");
 
-    for workers in [2usize, 4] {
-        let parallel =
-            ParallelTestEngine::new(config_for(case).with_workers(workers)).run(case.build);
-        let found = parallel.bug.expect("parallel engine finds the bug");
-        assert_eq!(found.iteration, reference.iteration);
-        let json = found
-            .shrink
-            .as_ref()
-            .expect("shrink ran")
-            .minimized
-            .to_json()
-            .expect("serialize");
-        assert_eq!(json, reference_json, "at {workers} workers");
+    for workers in [1usize, 2, 4] {
+        let report = TestEngine::new(config_for(case).with_workers(workers)).run(case.build);
+        reference.assert_matches(&report, &format!("{workers} workers"));
     }
 }
