@@ -3,33 +3,46 @@
 //! During testing the runtime creates a *scheduling point* each time a
 //! nondeterministic choice has to be taken: which enabled machine executes
 //! next, and the value of every `random_bool` / `random_index` call. A
-//! [`Scheduler`] resolves those choices. Six strategies are provided:
+//! [`Scheduler`] resolves those choices. Seven exploration strategies and a
+//! replayer are provided:
 //!
 //! * [`RandomScheduler`] — uniformly random choices (the paper's "random
-//!   scheduler"), effective for most concurrency bugs.
+//!   scheduler"), effective for most concurrency bugs. O(1) per pick.
 //! * [`PctScheduler`] — randomized priority-based scheduling after
 //!   Burckhardt et al. (ASPLOS'10), the paper's "priority-based scheduler";
 //!   it maintains machine priorities, always runs the highest-priority
 //!   enabled machine and changes priorities at a small number of random
-//!   steps per execution.
+//!   steps per execution. O(|enabled|) per pick (one pass over a dense
+//!   priority table, one more per change point).
 //! * [`DelayBoundingScheduler`] — delay-bounded scheduling after Emmi et al.
 //!   (POPL'11): a deterministic base schedule perturbed at a small number of
 //!   random steps, each of which "delays" the machine that would have run.
+//!   O(log |enabled|) per pick.
 //! * [`ProbabilisticRandomScheduler`] — runs the current machine as long as
 //!   it stays enabled and switches to a uniformly random other machine with a
 //!   configurable probability per step (Coyote's probabilistic strategy),
 //!   exploring long uninterrupted stretches random scheduling rarely visits.
+//!   O(log |enabled|) per pick.
 //! * [`RoundRobinScheduler`] — deterministic round-robin, useful as a
-//!   baseline ablation and for smoke tests.
+//!   baseline ablation and for smoke tests. O(log |enabled|) per pick.
 //! * [`SleepSetScheduler`] — sleep-set partial-order reduction over a random
 //!   base: the runtime reports what every executed step did (its
 //!   [`StepFootprint`]), and machines whose last step provably commutes with
 //!   its neighbors are put to sleep so schedules that differ only in the
-//!   order of independent steps are explored once.
+//!   order of independent steps are explored once. O(|enabled|) per pick,
+//!   O(1) per woken or slept machine.
+//! * [`DporScheduler`] — dynamic partial-order reduction: vector-clock
+//!   happens-before tracking over the footprint stream, race detection and
+//!   backtrack points, composed with sleep sets and a run-to-completion
+//!   bias. O(|enabled|) per sleep-set pick, O(log |enabled|) per backtrack
+//!   or sticky pick; the footprint work is bounded by its fixed clock
+//!   window.
 //! * [`ReplayScheduler`] — replays a recorded [`Trace`] decision-for-decision
-//!   so a bug can be reproduced deterministically.
-
-use std::collections::HashMap;
+//!   so a bug can be reproduced deterministically. O(log |enabled|) per pick.
+//!
+//! Per-machine strategy state (PCT priorities, sleep sets) lives in dense
+//! tables indexed by [`MachineId::index`]; the `enabled` slice is sorted, so
+//! membership and successor queries on it are binary searches.
 
 use crate::error::ReplayError;
 use crate::fault::{Fault, FaultGate};
@@ -206,8 +219,10 @@ pub trait Scheduler: Send + Sync {
     /// Reports what the step just executed did (who ran, what it sent,
     /// whether it touched a monitor). Called by the runtime after every
     /// ordinary machine step, in execution order. Strategies that reason
-    /// about step independence ([`SleepSetScheduler`]) maintain their sleep
-    /// sets here; the default ignores it.
+    /// about step independence maintain their state here:
+    /// [`SleepSetScheduler`] its sleep set, [`DporScheduler`] its sleep set,
+    /// vector clocks, race window and backtrack queue. The default ignores
+    /// it.
     fn note_footprint(&mut self, footprint: &StepFootprint) {
         let _ = footprint;
     }
@@ -440,7 +455,10 @@ impl Scheduler for RandomScheduler {
 #[derive(Debug, Clone)]
 pub struct PctScheduler {
     rng: SplitMix64,
-    priorities: HashMap<MachineId, u64>,
+    /// Priority per machine, indexed by [`MachineId::index`];
+    /// [`PctScheduler::UNASSIGNED`] until the machine is first seen enabled
+    /// in the priority-driven prefix.
+    priorities: Vec<u64>,
     change_steps: Vec<usize>,
     next_change: usize,
     next_low_priority: u64,
@@ -471,7 +489,7 @@ impl PctScheduler {
         change_steps.sort_unstable();
         PctScheduler {
             rng,
-            priorities: HashMap::new(),
+            priorities: Vec::new(),
             change_steps,
             next_change: 0,
             next_low_priority: 0,
@@ -480,15 +498,16 @@ impl PctScheduler {
         }
     }
 
-    fn priority_of(&mut self, id: MachineId) -> u64 {
-        if let Some(&p) = self.priorities.get(&id) {
-            return p;
-        }
-        // New machines receive a random high priority band so they can
-        // preempt or be preempted; the low band is reserved for change points.
-        let p = 1_000_000 + self.rng.next_below(1_000_000) as u64;
-        self.priorities.insert(id, p);
-        p
+    /// Priority-table entry of a machine that has no priority yet.
+    const UNASSIGNED: u64 = u64::MAX;
+
+    /// The highest-priority machine of `enabled`, every one of which has a
+    /// priority; ties go to the last (highest-id) one.
+    fn top(&self, enabled: &[MachineId]) -> MachineId {
+        *enabled
+            .iter()
+            .max_by_key(|id| self.priorities[id.index()])
+            .expect("enabled set is never empty")
     }
 }
 
@@ -502,10 +521,22 @@ impl Scheduler for PctScheduler {
             // Fair tail: see the type-level documentation.
             return enabled[self.rng.next_below(enabled.len())];
         }
-        // Make sure all enabled machines have priorities assigned.
-        for &id in enabled {
-            self.priority_of(id);
+        // Make sure all enabled machines have priorities assigned. `enabled`
+        // is sorted, so its last id bounds the table: one check per pick.
+        let needed = enabled[enabled.len() - 1].index() + 1;
+        if self.priorities.len() < needed {
+            self.priorities.resize(needed, Self::UNASSIGNED);
         }
+        for &id in enabled {
+            let priority = &mut self.priorities[id.index()];
+            if *priority == Self::UNASSIGNED {
+                // New machines receive a random high priority band so they
+                // can preempt or be preempted; the low band is reserved for
+                // change points. Drawn in `enabled` order.
+                *priority = 1_000_000 + self.rng.next_below(1_000_000) as u64;
+            }
+        }
+        let mut top = self.top(enabled);
         // At a change point, deprioritize the currently highest enabled
         // machine. Every change point due at this step is consumed *now*:
         // duplicate or clustered change points fire together (each demoting
@@ -515,19 +546,11 @@ impl Scheduler for PctScheduler {
             && step >= self.change_steps[self.next_change]
         {
             self.next_change += 1;
-            if let Some(&top) = enabled
-                .iter()
-                .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
-            {
-                let low = self.next_low_priority;
-                self.next_low_priority += 1;
-                self.priorities.insert(top, low);
-            }
+            self.priorities[top.index()] = self.next_low_priority;
+            self.next_low_priority += 1;
+            top = self.top(enabled);
         }
-        *enabled
-            .iter()
-            .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
-            .expect("enabled set is never empty")
+        top
     }
 
     fn next_bool(&mut self) -> bool {
@@ -602,11 +625,8 @@ impl DelayBoundingScheduler {
     /// The first enabled machine with id strictly greater than `after`,
     /// wrapping around to the lowest id.
     fn successor(enabled: &[MachineId], after: MachineId) -> MachineId {
-        enabled
-            .iter()
-            .copied()
-            .find(|id| id.raw() > after.raw())
-            .unwrap_or(enabled[0])
+        let next = enabled.partition_point(|&id| id <= after);
+        enabled.get(next).copied().unwrap_or(enabled[0])
     }
 }
 
@@ -625,7 +645,7 @@ impl Scheduler for DelayBoundingScheduler {
         // Deterministic base: run-to-completion on the current machine, then
         // the next enabled machine in id order.
         let mut choice = match self.current {
-            Some(current) if enabled.contains(&current) => current,
+            Some(current) if enabled.binary_search(&current).is_ok() => current,
             Some(current) => Self::successor(enabled, current),
             None => enabled[0],
         };
@@ -710,24 +730,23 @@ impl Scheduler for ProbabilisticRandomScheduler {
     }
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
-        let choice = match self.current {
-            Some(current) if enabled.contains(&current) => {
+        let current = self
+            .current
+            .and_then(|current| Some((current, enabled.binary_search(&current).ok()?)));
+        let choice = match current {
+            Some((current, position)) => {
                 let switch = self.rng.next_bool_ratio(self.switch_percent as u64, 100);
                 if switch && enabled.len() > 1 {
                     // Switch to a uniformly random *other* machine: including
                     // the current one in the draw would silently shrink the
                     // effective switch probability to `p * (n-1)/n`.
-                    let position = enabled
-                        .iter()
-                        .position(|&m| m == current)
-                        .expect("current is enabled");
                     let pick = self.rng.next_below(enabled.len() - 1);
                     enabled[if pick >= position { pick + 1 } else { pick }]
                 } else {
                     current
                 }
             }
-            _ => enabled[self.rng.next_below(enabled.len())],
+            None => enabled[self.rng.next_below(enabled.len())],
         };
         self.current = Some(choice);
         choice
@@ -810,11 +829,8 @@ impl Scheduler for RoundRobinScheduler {
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
         // Pick the first enabled machine with id >= cursor, wrapping around.
-        let chosen = enabled
-            .iter()
-            .copied()
-            .find(|id| id.raw() >= self.cursor)
-            .unwrap_or(enabled[0]);
+        let next = enabled.partition_point(|id| id.raw() < self.cursor);
+        let chosen = enabled.get(next).copied().unwrap_or(enabled[0]);
         self.cursor = chosen.raw() + 1;
         chosen
     }
@@ -834,6 +850,104 @@ impl Scheduler for RoundRobinScheduler {
 
     fn clone_box(&self) -> Option<Box<dyn Scheduler>> {
         Some(Box::new(self.clone()))
+    }
+}
+
+/// The sleep set of [`SleepSetScheduler`] and [`DporScheduler`]: one dense
+/// entry per machine, indexed by [`MachineId::index`], so waking and
+/// sleeping are O(1) and a scheduling point costs one pass over `enabled`.
+#[derive(Debug, Clone, Default)]
+struct SleepTable {
+    /// [`SleepTable::AWAKE`], or how many scheduling points have passed the
+    /// sleeping machine over since it fell asleep.
+    skips: Vec<u32>,
+    /// Scratch buffer for the awake subset of the enabled set (reused across
+    /// steps; the hot path stays allocation-free once warmed up).
+    awake_buf: Vec<MachineId>,
+}
+
+impl SleepTable {
+    /// Entry of a machine that is not asleep.
+    const AWAKE: u32 = u32::MAX;
+
+    /// Grows the table to cover every id in `enabled` (sorted, so one check
+    /// against its last id).
+    fn cover(&mut self, enabled: &[MachineId]) {
+        let needed = enabled[enabled.len() - 1].index() + 1;
+        if self.skips.len() < needed {
+            self.skips.resize(needed, Self::AWAKE);
+        }
+    }
+
+    fn wake(&mut self, machine: MachineId) {
+        if let Some(skips) = self.skips.get_mut(machine.index()) {
+            *skips = Self::AWAKE;
+        }
+    }
+
+    /// Puts `machine` to sleep; a machine already asleep keeps its skip
+    /// count.
+    fn sleep(&mut self, machine: MachineId) {
+        let index = machine.index();
+        if self.skips.len() <= index {
+            self.skips.resize(index + 1, Self::AWAKE);
+        }
+        if self.skips[index] == Self::AWAKE {
+            self.skips[index] = 0;
+        }
+    }
+
+    /// Wakes every machine.
+    fn clear(&mut self) {
+        self.skips.fill(Self::AWAKE);
+    }
+
+    /// The sleep-set pick: uniform over the awake enabled machines or, when
+    /// every enabled machine is asleep, uniform over all of them, waking the
+    /// pick. Returns the pick and the number of enabled branches it skipped.
+    /// `enabled` must be [covered](SleepTable::cover).
+    fn pick(&mut self, rng: &mut SplitMix64, enabled: &[MachineId]) -> (MachineId, u64) {
+        let Self { skips, awake_buf } = self;
+        awake_buf.clear();
+        awake_buf.reserve(enabled.len());
+        awake_buf.extend(
+            enabled
+                .iter()
+                .copied()
+                .filter(|m| skips[m.index()] == Self::AWAKE),
+        );
+        if awake_buf.is_empty() {
+            // Every enabled machine is asleep: something must run. Wake the
+            // random pick; the branches through the other sleepers stay
+            // pruned.
+            let pick = enabled[rng.next_below(enabled.len())];
+            self.wake(pick);
+            (pick, (enabled.len() - 1) as u64)
+        } else {
+            let pruned = (enabled.len() - awake_buf.len()) as u64;
+            (awake_buf[rng.next_below(awake_buf.len())], pruned)
+        }
+    }
+
+    /// Ages every enabled sleeper passed over by picking `chosen`, waking
+    /// the ones that reach `wake_after_skips` pass-overs. `enabled` must be
+    /// [covered](SleepTable::cover).
+    fn age(&mut self, enabled: &[MachineId], chosen: MachineId, wake_after_skips: u32) {
+        for &m in enabled {
+            let skips = &mut self.skips[m.index()];
+            if m != chosen && *skips != Self::AWAKE {
+                *skips += 1;
+                if *skips >= wake_after_skips {
+                    *skips = Self::AWAKE;
+                }
+            }
+        }
+    }
+
+    /// Number of machines asleep.
+    #[cfg(test)]
+    fn sleepers(&self) -> usize {
+        self.skips.iter().filter(|&&s| s != Self::AWAKE).count()
     }
 }
 
@@ -872,12 +986,8 @@ impl Scheduler for RoundRobinScheduler {
 pub struct SleepSetScheduler {
     rng: SplitMix64,
     fault_gate: FaultGate,
-    /// Machines currently asleep, each paired with how many scheduling
-    /// points have passed it over since it fell asleep.
-    asleep: Vec<(MachineId, u32)>,
-    /// Scratch buffer for the awake subset of the enabled set (reused across
-    /// steps; the hot path stays allocation-free once warmed up).
-    awake_buf: Vec<MachineId>,
+    /// Machines currently asleep and their pass-over counts.
+    sleep: SleepTable,
     /// Fairness bound: sleepers are forcibly woken after this many
     /// consecutive pass-overs (see [`SleepSetScheduler::WAKE_AFTER_SKIPS`]).
     wake_after_skips: u32,
@@ -895,8 +1005,7 @@ impl SleepSetScheduler {
         SleepSetScheduler {
             rng: SplitMix64::new(seed),
             fault_gate: FaultGate::new(seed),
-            asleep: Vec::new(),
-            awake_buf: Vec::new(),
+            sleep: SleepTable::default(),
             wake_after_skips: Self::WAKE_AFTER_SKIPS,
             pruned: 0,
         }
@@ -910,18 +1019,6 @@ impl SleepSetScheduler {
         self.wake_after_skips = skips.max(1);
         self
     }
-
-    fn wake(&mut self, machine: MachineId) {
-        if let Some(i) = self.asleep.iter().position(|&(m, _)| m == machine) {
-            self.asleep.swap_remove(i);
-        }
-    }
-
-    fn sleep(&mut self, machine: MachineId) {
-        if !self.asleep.iter().any(|&(m, _)| m == machine) {
-            self.asleep.push((machine, 0));
-        }
-    }
 }
 
 impl Scheduler for SleepSetScheduler {
@@ -930,43 +1027,12 @@ impl Scheduler for SleepSetScheduler {
     }
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
-        let Self {
-            awake_buf, asleep, ..
-        } = self;
-        awake_buf.clear();
-        awake_buf.extend(
-            enabled
-                .iter()
-                .copied()
-                .filter(|m| !asleep.iter().any(|&(s, _)| s == *m)),
-        );
-        let chosen = if self.awake_buf.is_empty() {
-            // Every enabled machine is asleep: something must run. Wake the
-            // random pick; the branches through the other sleepers stay
-            // pruned.
-            let pick = enabled[self.rng.next_below(enabled.len())];
-            self.wake(pick);
-            self.pruned += (enabled.len() - 1) as u64;
-            pick
-        } else {
-            self.pruned += (enabled.len() - self.awake_buf.len()) as u64;
-            let index = self.rng.next_below(self.awake_buf.len());
-            self.awake_buf[index]
-        };
+        self.sleep.cover(enabled);
+        let (chosen, pruned) = self.sleep.pick(&mut self.rng, enabled);
+        self.pruned += pruned;
         // Age every sleeper that was enabled but passed over; wake the ones
         // that hit the fairness bound.
-        let mut i = 0;
-        while i < self.asleep.len() {
-            let (m, ref mut skips) = self.asleep[i];
-            if m != chosen && enabled.contains(&m) {
-                *skips += 1;
-                if *skips >= self.wake_after_skips {
-                    self.asleep.swap_remove(i);
-                    continue;
-                }
-            }
-            i += 1;
-        }
+        self.sleep.age(enabled, chosen, self.wake_after_skips);
         chosen
     }
 
@@ -983,20 +1049,20 @@ impl Scheduler for SleepSetScheduler {
         if fault.is_some() {
             // A fault mutates machines and mailboxes outside any handler:
             // all commutativity assumptions are off.
-            self.asleep.clear();
+            self.sleep.clear();
         }
         fault
     }
 
     fn note_footprint(&mut self, footprint: &StepFootprint) {
         // Deliveries create new dependencies: wake every receiver.
-        for i in 0..footprint.sends.len() {
-            self.wake(footprint.sends[i]);
+        for &target in &footprint.sends {
+            self.sleep.wake(target);
         }
         if footprint.is_local() {
-            self.sleep(footprint.machine);
+            self.sleep.sleep(footprint.machine);
         } else {
-            self.wake(footprint.machine);
+            self.sleep.wake(footprint.machine);
         }
     }
 
@@ -1227,8 +1293,7 @@ pub struct DporScheduler {
     rng: SplitMix64,
     fault_gate: FaultGate,
     /// Sleep-set state, as in [`SleepSetScheduler`].
-    asleep: Vec<(MachineId, u32)>,
-    awake_buf: Vec<MachineId>,
+    sleep: SleepTable,
     wake_after_skips: u32,
     /// Windowed vector clocks.
     clocks: ClockWindow,
@@ -1271,8 +1336,7 @@ impl DporScheduler {
         DporScheduler {
             rng: SplitMix64::new(seed),
             fault_gate: FaultGate::new(seed),
-            asleep: Vec::with_capacity(CLOCK_SLOTS),
-            awake_buf: Vec::with_capacity(CLOCK_SLOTS),
+            sleep: SleepTable::default(),
             wake_after_skips: SleepSetScheduler::WAKE_AFTER_SKIPS,
             clocks: ClockWindow::new(),
             global_row: vec![0; CLOCK_SLOTS],
@@ -1298,36 +1362,6 @@ impl DporScheduler {
     pub fn with_horizon(mut self, max_steps: usize) -> Self {
         self.horizon = Some(max_steps);
         self
-    }
-
-    fn wake(&mut self, machine: MachineId) {
-        if let Some(i) = self.asleep.iter().position(|&(m, _)| m == machine) {
-            self.asleep.swap_remove(i);
-        }
-    }
-
-    fn sleep(&mut self, machine: MachineId) {
-        if !self.asleep.iter().any(|&(m, _)| m == machine) {
-            self.asleep.push((machine, 0));
-        }
-    }
-
-    /// Ages every enabled sleeper that was passed over by picking `chosen`,
-    /// waking the ones that hit the fairness bound (identical to the
-    /// [`SleepSetScheduler`] aging rule).
-    fn age_sleepers(&mut self, enabled: &[MachineId], chosen: MachineId) {
-        let mut i = 0;
-        while i < self.asleep.len() {
-            let (m, ref mut skips) = self.asleep[i];
-            if m != chosen && enabled.contains(&m) {
-                *skips += 1;
-                if *skips >= self.wake_after_skips {
-                    self.asleep.swap_remove(i);
-                    continue;
-                }
-            }
-            i += 1;
-        }
     }
 
     fn enqueue_backtrack(&mut self, machine: MachineId) {
@@ -1374,6 +1408,7 @@ impl Scheduler for DporScheduler {
         // A credit whose step never reported a footprint (e.g. the pick was
         // superseded) is void.
         self.pending_prune = 0;
+        self.sleep.cover(enabled);
         // 1. A pending backtrack outranks everything — up to a fairness
         //    bound: run the machine whose earlier step raced, reversing the
         //    accidental order going forward. Unrunnable entries
@@ -1387,13 +1422,13 @@ impl Scheduler for DporScheduler {
         } else {
             while !self.backtrack_queue.is_empty() {
                 let m = self.backtrack_queue.remove(0);
-                if enabled.contains(&m) {
+                if enabled.binary_search(&m).is_ok() {
                     self.backtracks += 1;
                     self.backtrack_run += 1;
-                    self.wake(m);
+                    self.sleep.wake(m);
                     self.sticky = Some(m);
                     self.sticky_run = 0;
-                    self.age_sleepers(enabled, m);
+                    self.sleep.age(enabled, m, self.wake_after_skips);
                     return m;
                 }
             }
@@ -1405,41 +1440,23 @@ impl Scheduler for DporScheduler {
         //    machines is banked in `note_footprint`, once the step is known
         //    local.
         if let Some(current) = self.sticky {
-            if self.sticky_run < STICKY_CAP && enabled.contains(&current) {
+            if self.sticky_run < STICKY_CAP && enabled.binary_search(&current).is_ok() {
                 self.sticky_run += 1;
                 self.pending_prune = (enabled.len() - 1) as u64;
-                self.age_sleepers(enabled, current);
+                self.sleep.age(enabled, current, self.wake_after_skips);
                 return current;
             }
             // Cap reached (or the machine disabled): it behaved like a
             // sleeper's local step all along, so it sleeps like one.
-            self.sleep(current);
+            self.sleep.sleep(current);
             self.sticky = None;
         }
         // 3. Sleep-set pick among the awake machines.
-        let Self {
-            awake_buf, asleep, ..
-        } = self;
-        awake_buf.clear();
-        awake_buf.extend(
-            enabled
-                .iter()
-                .copied()
-                .filter(|m| !asleep.iter().any(|&(s, _)| s == *m)),
-        );
-        let chosen = if self.awake_buf.is_empty() {
-            let pick = enabled[self.rng.next_below(enabled.len())];
-            self.wake(pick);
-            self.pruned += (enabled.len() - 1) as u64;
-            pick
-        } else {
-            self.pruned += (enabled.len() - self.awake_buf.len()) as u64;
-            let index = self.rng.next_below(self.awake_buf.len());
-            self.awake_buf[index]
-        };
+        let (chosen, pruned) = self.sleep.pick(&mut self.rng, enabled);
+        self.pruned += pruned;
         self.sticky = Some(chosen);
         self.sticky_run = 0;
-        self.age_sleepers(enabled, chosen);
+        self.sleep.age(enabled, chosen, self.wake_after_skips);
         chosen
     }
 
@@ -1458,7 +1475,7 @@ impl Scheduler for DporScheduler {
             // sleep/stickiness assumptions and in-flight message clocks are
             // off. Accumulated clocks stay (the past is still ordered); the
             // race window restarts.
-            self.asleep.clear();
+            self.sleep.clear();
             self.sticky = None;
             self.pending_prune = 0;
             self.backtrack_queue.clear();
@@ -1484,15 +1501,15 @@ impl Scheduler for DporScheduler {
         // Sleep-set bookkeeping: deliveries wake receivers; local steppers
         // sleep (unless they are the sticky machine, which keeps running);
         // non-local steppers wake and lose stickiness.
-        for i in 0..footprint.sends.len() {
-            self.wake(footprint.sends[i]);
+        for &target in &footprint.sends {
+            self.sleep.wake(target);
         }
         if footprint.is_local() {
             if self.sticky != Some(footprint.machine) {
-                self.sleep(footprint.machine);
+                self.sleep.sleep(footprint.machine);
             }
         } else {
-            self.wake(footprint.machine);
+            self.sleep.wake(footprint.machine);
             if self.sticky == Some(footprint.machine) {
                 self.sticky = None;
             }
@@ -1750,7 +1767,7 @@ impl Scheduler for ReplayScheduler {
 
     fn next_machine(&mut self, enabled: &[MachineId], _step: usize) -> MachineId {
         match self.next_decision() {
-            Some(Decision::Schedule(id)) if enabled.contains(&id) => id,
+            Some(Decision::Schedule(id)) if enabled.binary_search(&id).is_ok() => id,
             Some(Decision::Schedule(id)) => {
                 self.record_divergence(format!(
                     "recorded machine {id} is not enabled during replay"
@@ -2136,13 +2153,13 @@ mod tests {
         let mut s = SleepSetScheduler::new(1);
         // Machine 0 takes a local step and falls asleep.
         s.note_footprint(&StepFootprint::new(MachineId::from_raw(0)));
-        assert_eq!(s.asleep.len(), 1);
+        assert_eq!(s.sleep.sleepers(), 1);
         // Machine 1 sends to machine 0: 0 wakes, 1 stays awake (its step was
         // not local).
         let mut fp = StepFootprint::new(MachineId::from_raw(1));
         fp.sends.push(MachineId::from_raw(0));
         s.note_footprint(&fp);
-        assert!(s.asleep.is_empty());
+        assert_eq!(s.sleep.sleepers(), 0);
         let _ = enabled;
     }
 
@@ -2152,7 +2169,7 @@ mod tests {
         let mut fp = StepFootprint::new(MachineId::from_raw(0));
         fp.notified_monitor = true;
         s.note_footprint(&fp);
-        assert!(s.asleep.is_empty());
+        assert_eq!(s.sleep.sleepers(), 0);
     }
 
     #[test]
@@ -2606,5 +2623,349 @@ mod tests {
         let (slot, evicted) = s.clocks.slot_of(MachineId::from_raw(0));
         assert!(evicted, "machine 0's slot was recycled");
         assert!(s.clocks.row(slot).iter().all(|&c| c == 0));
+    }
+
+    /// The sleep-set and PCT per-machine logic as it was before the dense
+    /// tables — sleepers in an unsorted list checked against `enabled` by
+    /// linear search, PCT priorities in a hash map — kept as the reference
+    /// the dense tables are checked against.
+    mod naive {
+        use std::collections::HashMap;
+
+        use crate::fault::{Fault, FaultGate};
+        use crate::machine::MachineId;
+        use crate::rng::SplitMix64;
+        use crate::scheduler::StepFootprint;
+
+        pub struct SleepSet {
+            rng: SplitMix64,
+            fault_gate: FaultGate,
+            pub asleep: Vec<(MachineId, u32)>,
+            wake_after_skips: u32,
+            pub pruned: u64,
+        }
+
+        impl SleepSet {
+            pub fn new(seed: u64, wake_after_skips: u32) -> Self {
+                SleepSet {
+                    rng: SplitMix64::new(seed),
+                    fault_gate: FaultGate::new(seed),
+                    asleep: Vec::new(),
+                    wake_after_skips: wake_after_skips.max(1),
+                    pruned: 0,
+                }
+            }
+
+            fn wake(&mut self, machine: MachineId) {
+                if let Some(i) = self.asleep.iter().position(|&(m, _)| m == machine) {
+                    self.asleep.swap_remove(i);
+                }
+            }
+
+            fn sleep(&mut self, machine: MachineId) {
+                if !self.asleep.iter().any(|&(m, _)| m == machine) {
+                    self.asleep.push((machine, 0));
+                }
+            }
+
+            pub fn next_machine(&mut self, enabled: &[MachineId]) -> MachineId {
+                let awake: Vec<MachineId> = enabled
+                    .iter()
+                    .copied()
+                    .filter(|m| !self.asleep.iter().any(|&(s, _)| s == *m))
+                    .collect();
+                let chosen = if awake.is_empty() {
+                    let pick = enabled[self.rng.next_below(enabled.len())];
+                    self.wake(pick);
+                    self.pruned += (enabled.len() - 1) as u64;
+                    pick
+                } else {
+                    self.pruned += (enabled.len() - awake.len()) as u64;
+                    awake[self.rng.next_below(awake.len())]
+                };
+                let mut i = 0;
+                while i < self.asleep.len() {
+                    let (m, ref mut skips) = self.asleep[i];
+                    if m != chosen && enabled.contains(&m) {
+                        *skips += 1;
+                        if *skips >= self.wake_after_skips {
+                            self.asleep.swap_remove(i);
+                            continue;
+                        }
+                    }
+                    i += 1;
+                }
+                chosen
+            }
+
+            pub fn next_fault(&mut self, candidates: &[Fault]) -> Option<Fault> {
+                let fault = self.fault_gate.pick(candidates);
+                if fault.is_some() {
+                    self.asleep.clear();
+                }
+                fault
+            }
+
+            pub fn note_footprint(&mut self, footprint: &StepFootprint) {
+                for &target in &footprint.sends {
+                    self.wake(target);
+                }
+                if footprint.is_local() {
+                    self.sleep(footprint.machine);
+                } else {
+                    self.wake(footprint.machine);
+                }
+            }
+        }
+
+        pub struct Pct {
+            rng: SplitMix64,
+            pub priorities: HashMap<MachineId, u64>,
+            pub change_steps: Vec<usize>,
+            next_change: usize,
+            next_low_priority: u64,
+            fair_after: usize,
+        }
+
+        impl Pct {
+            pub fn new(seed: u64, change_points: usize, max_steps: usize) -> Self {
+                let mut rng = SplitMix64::new(seed);
+                let fair_after = max_steps.max(1) / 2;
+                let prefix = fair_after.max(1);
+                let mut change_steps: Vec<usize> =
+                    (0..change_points).map(|_| rng.next_below(prefix)).collect();
+                change_steps.sort_unstable();
+                Pct {
+                    rng,
+                    priorities: HashMap::new(),
+                    change_steps,
+                    next_change: 0,
+                    next_low_priority: 0,
+                    fair_after,
+                }
+            }
+
+            fn priority_of(&mut self, id: MachineId) -> u64 {
+                if let Some(&p) = self.priorities.get(&id) {
+                    return p;
+                }
+                let p = 1_000_000 + self.rng.next_below(1_000_000) as u64;
+                self.priorities.insert(id, p);
+                p
+            }
+
+            pub fn next_machine(&mut self, enabled: &[MachineId], step: usize) -> MachineId {
+                if step >= self.fair_after {
+                    return enabled[self.rng.next_below(enabled.len())];
+                }
+                for &id in enabled {
+                    self.priority_of(id);
+                }
+                while self.next_change < self.change_steps.len()
+                    && step >= self.change_steps[self.next_change]
+                {
+                    self.next_change += 1;
+                    if let Some(&top) = enabled
+                        .iter()
+                        .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
+                    {
+                        let low = self.next_low_priority;
+                        self.next_low_priority += 1;
+                        self.priorities.insert(top, low);
+                    }
+                }
+                *enabled
+                    .iter()
+                    .max_by_key(|&&id| self.priorities.get(&id).copied().unwrap_or(0))
+                    .expect("enabled set is never empty")
+            }
+
+            pub fn next_bool(&mut self) -> bool {
+                self.rng.next_bool()
+            }
+        }
+    }
+
+    /// A seeded stream of sorted enabled sets over a machine universe that
+    /// keeps growing (new ids larger than any seen so far), with id gaps:
+    /// every seventh id stays disabled — as if crashed before it was ever
+    /// scheduled — until `revive_at`, and every other id is enabled with
+    /// probability 1/2 per step.
+    struct EnabledStream {
+        rng: SplitMix64,
+        universe: u64,
+        revive_at: usize,
+    }
+
+    impl EnabledStream {
+        fn new(seed: u64, revive_at: usize) -> Self {
+            EnabledStream {
+                rng: SplitMix64::new(seed),
+                universe: 4,
+                revive_at,
+            }
+        }
+
+        fn next(&mut self, step: usize) -> Vec<MachineId> {
+            if self.rng.next_below(40) == 0 {
+                self.universe += 1 + self.rng.next_below(16) as u64;
+            }
+            let mut enabled: Vec<MachineId> = (0..self.universe)
+                .filter(|&raw| raw % 7 != 3 || step >= self.revive_at)
+                .filter(|_| self.rng.next_bool())
+                .map(MachineId::from_raw)
+                .collect();
+            if enabled.is_empty() {
+                enabled.push(MachineId::from_raw(self.universe - 1));
+            }
+            enabled
+        }
+
+        /// A footprint for the step of `pick` — or, one time in eight, of
+        /// another machine, possibly one already asleep — that is local,
+        /// sends to up to three ids (some beyond every id enabled so far),
+        /// or touches a monitor.
+        fn footprint(&mut self, pick: MachineId) -> StepFootprint {
+            let machine = if self.rng.next_below(8) == 0 {
+                MachineId::from_raw(self.rng.next_below(self.universe as usize) as u64)
+            } else {
+                pick
+            };
+            let mut footprint = StepFootprint::new(machine);
+            match self.rng.next_below(4) {
+                0 | 1 => {}
+                2 => {
+                    for _ in 0..=self.rng.next_below(3) {
+                        let target = self.rng.next_below(self.universe as usize + 8);
+                        footprint.sends.push(MachineId::from_raw(target as u64));
+                    }
+                }
+                _ => footprint.notified_monitor = true,
+            }
+            footprint
+        }
+    }
+
+    #[test]
+    fn sleep_table_matches_the_naive_sleeper_list() {
+        const STEPS: usize = 2_000;
+        for seed in 0..8 {
+            for wake_after_skips in [1, 3, SleepSetScheduler::WAKE_AFTER_SKIPS] {
+                let context = format!("seed {seed}, wake after {wake_after_skips}");
+                let mut stream = EnabledStream::new(seed, STEPS / 3);
+                let mut naive = naive::SleepSet::new(seed, wake_after_skips);
+                let mut dense =
+                    SleepSetScheduler::new(seed).with_wake_after_skips(wake_after_skips);
+                let mut faults = 0;
+                // The first half runs on the concrete type so the tables can
+                // be compared entry by entry; the second half continues on a
+                // `clone_box` copy taken mid-run.
+                for step in 0..STEPS / 2 {
+                    let enabled = stream.next(step);
+                    let pick = naive.next_machine(&enabled);
+                    assert_eq!(dense.next_machine(&enabled, step), pick, "{context}");
+                    let footprint = stream.footprint(pick);
+                    naive.note_footprint(&footprint);
+                    dense.note_footprint(&footprint);
+                    let candidates = [Fault::Crash(pick)];
+                    let fault = naive.next_fault(&candidates);
+                    assert_eq!(dense.next_fault(&candidates, step), fault, "{context}");
+                    faults += usize::from(fault.is_some());
+                    assert_eq!(dense.pruned_equivalents(), naive.pruned, "{context}");
+                    assert_eq!(dense.sleep.sleepers(), naive.asleep.len(), "{context}");
+                    for &(machine, skips) in &naive.asleep {
+                        assert_eq!(dense.sleep.skips[machine.index()], skips, "{context}");
+                    }
+                }
+                assert!(faults > 0, "{context}: no fault cleared the sleepers");
+                let mut copy = dense.clone_box().expect("clonable");
+                drop(dense);
+                for step in STEPS / 2..STEPS {
+                    let enabled = stream.next(step);
+                    let pick = naive.next_machine(&enabled);
+                    assert_eq!(copy.next_machine(&enabled, step), pick, "{context}");
+                    let footprint = stream.footprint(pick);
+                    naive.note_footprint(&footprint);
+                    copy.note_footprint(&footprint);
+                    let candidates = [Fault::Crash(pick)];
+                    let fault = naive.next_fault(&candidates);
+                    assert_eq!(copy.next_fault(&candidates, step), fault, "{context}");
+                    assert_eq!(copy.pruned_equivalents(), naive.pruned, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pct_priority_table_matches_the_naive_hash_map() {
+        const MAX_STEPS: usize = 1_200;
+        for seed in 0..10 {
+            for change_points in [0, 2, 10, 64] {
+                let context = format!("seed {seed}, cp {change_points}");
+                let mut stream = EnabledStream::new(seed ^ 0x9e37, MAX_STEPS / 4);
+                let mut naive = naive::Pct::new(seed, change_points, MAX_STEPS);
+                let mut dense = PctScheduler::new(seed, change_points, MAX_STEPS);
+                assert_eq!(dense.change_steps, naive.change_steps, "{context}");
+                // Concrete first half (the priority prefix), `clone_box`
+                // copy for the fair tail.
+                for step in 0..MAX_STEPS / 2 {
+                    let enabled = stream.next(step);
+                    let pick = naive.next_machine(&enabled, step);
+                    assert_eq!(dense.next_machine(&enabled, step), pick, "{context}");
+                    let assigned = dense
+                        .priorities
+                        .iter()
+                        .filter(|&&p| p != PctScheduler::UNASSIGNED)
+                        .count();
+                    assert_eq!(assigned, naive.priorities.len(), "{context}");
+                    for (&machine, &priority) in &naive.priorities {
+                        assert_eq!(dense.priorities[machine.index()], priority, "{context}");
+                    }
+                }
+                let mut copy = dense.clone_box().expect("clonable");
+                drop(dense);
+                for step in MAX_STEPS / 2..MAX_STEPS {
+                    let enabled = stream.next(step);
+                    assert_eq!(
+                        copy.next_machine(&enabled, step),
+                        naive.next_machine(&enabled, step),
+                        "{context}"
+                    );
+                    assert_eq!(copy.next_bool(), naive.next_bool(), "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pct_equal_priorities_go_to_the_last_maximum() {
+        // Every machine at one priority: the highest id wins, and a change
+        // point demotes it so the next-highest id wins — exactly as
+        // `max_by_key` over a hash map of the same priorities decided.
+        let enabled = ids(&[0, 2, 3, 5]);
+        let mut naive = naive::Pct::new(4, 0, 1_000);
+        let mut dense = PctScheduler::new(4, 0, 1_000);
+        naive.change_steps = vec![1];
+        dense.change_steps = vec![1];
+        for &id in &enabled {
+            naive.priorities.insert(id, 1_500_000);
+        }
+        dense.priorities = vec![1_500_000; 6];
+        dense.priorities[1] = PctScheduler::UNASSIGNED;
+        dense.priorities[4] = PctScheduler::UNASSIGNED;
+        assert_eq!(naive.next_machine(&enabled, 0), MachineId::from_raw(5));
+        assert_eq!(dense.next_machine(&enabled, 0), MachineId::from_raw(5));
+        assert_eq!(naive.next_machine(&enabled, 1), MachineId::from_raw(3));
+        assert_eq!(dense.next_machine(&enabled, 1), MachineId::from_raw(3));
+        // Machine 4 has no priority yet; it draws one on first sight.
+        let with_new = ids(&[0, 2, 3, 4, 5]);
+        assert_eq!(
+            dense.next_machine(&with_new, 2),
+            naive.next_machine(&with_new, 2)
+        );
+        assert_eq!(
+            dense.priorities[4],
+            naive.priorities[&MachineId::from_raw(4)]
+        );
     }
 }

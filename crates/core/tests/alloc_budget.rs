@@ -340,6 +340,47 @@ fn recycled_megakv_iteration_at_ten_thousand_machines_stays_within_budget() {
     );
 }
 
+/// The per-machine state of the strategies that keep any — PCT's priority
+/// table, the sleep-set and DPOR skip-counter tables and their awake-subset
+/// buffer — is dense and indexed by machine id. Each table grows at most
+/// once per scheduling point, to the largest enabled id, and the awake
+/// buffer reserves the enabled count up front, so a recycled 1,024-machine
+/// megakv iteration under each of them fits the same <=8 allocation budget
+/// as random scheduling: the scheduler (built outside the window, as the
+/// engines sequence it) sizes its tables in a handful of allocations, not
+/// one per machine or per doubling.
+#[test]
+fn recycled_megakv_iteration_under_stateful_strategies_stays_within_budget() {
+    const TOTAL: usize = 1_024;
+    let kv = megakv::MegaKvConfig::scale(TOTAL, 0);
+    let config = RuntimeConfig {
+        max_steps: TOTAL + 100,
+        ..RuntimeConfig::default()
+    };
+    for kind in [
+        SchedulerKind::Pct { change_points: 2 },
+        SchedulerKind::sleep_set(),
+        SchedulerKind::Dpor,
+    ] {
+        // Warm-up iteration grows every pooled runtime buffer.
+        let mut rt = Runtime::new(kind.build(11, TOTAL + 100), config.clone(), 11);
+        megakv::build_harness(&mut rt, &kv);
+        assert_eq!(rt.run(), ExecutionOutcome::Quiescent);
+
+        // The recycled iteration: reset, re-build, measure the run.
+        rt.reset(kind.build(13, TOTAL + 100), config.clone(), 13);
+        megakv::build_harness(&mut rt, &kv);
+        let (allocations, outcome) = count_allocations(|| rt.run());
+        assert_eq!(outcome, ExecutionOutcome::Quiescent);
+        assert_eq!(rt.steps(), TOTAL, "{kind:?}: one start step per machine");
+        assert!(
+            allocations <= 8,
+            "a recycled {TOTAL}-machine megakv iteration under {kind:?} allocated \
+             {allocations} times; per-machine scheduler state must be dense"
+        );
+    }
+}
+
 /// The vector-clock DPOR strategy preallocates its entire clock machinery —
 /// the LRU slot window, the pending-clock rings, the recent-step race-scan
 /// ring and the backtrack queue — in [`DporScheduler::new`], which the
