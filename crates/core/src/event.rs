@@ -146,9 +146,27 @@ impl fmt::Debug for Event {
 }
 
 /// Returns the type name of `T` with any module path prefix removed.
+///
+/// Called on every event construction, so the path is stripped by a
+/// backwards byte scan rather than `rsplit("::")`, which builds a substring
+/// searcher per call. The result is identical: everything after the last
+/// `"::"` (the whole name when there is none).
 pub(crate) fn short_type_name<T: ?Sized>() -> &'static str {
-    let full = std::any::type_name::<T>();
-    full.rsplit("::").next().unwrap_or(full)
+    strip_module_path(std::any::type_name::<T>())
+}
+
+fn strip_module_path(full: &str) -> &str {
+    let bytes = full.as_bytes();
+    // `end` is one past the second colon of the rightmost `"::"`; both
+    // colons are ASCII, so `end` is always a char boundary.
+    let mut end = bytes.len();
+    while end >= 2 {
+        if bytes[end - 1] == b':' && bytes[end - 2] == b':' {
+            return &full[end..];
+        }
+        end -= 1;
+    }
+    full
 }
 
 #[cfg(test)]
@@ -160,6 +178,80 @@ mod tests {
 
     #[derive(Debug)]
     struct Pong;
+
+    #[test]
+    fn module_path_stripping_matches_rsplit() {
+        fn reference(full: &str) -> &str {
+            full.rsplit("::").next().unwrap_or(full)
+        }
+        let literals = [
+            "",
+            "Ping",
+            "a::b::C",
+            "Wrapper<a::B>",
+            "a:::b",
+            "::X",
+            "X::",
+            ":",
+            "::",
+            ":::",
+            "a::b::Wrapper<c::D, e::F>",
+        ];
+        for full in literals {
+            assert_eq!(strip_module_path(full), reference(full), "input {full:?}");
+        }
+
+        // Real event, machine and monitor types, through every caller.
+        use crate::machine::{Machine, StateMachine, StateMachineRunner, Transition};
+        use crate::monitor::{Monitor, MonitorContext};
+        use crate::runtime::Context;
+        struct Node;
+        impl Machine for Node {
+            fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+        }
+        struct Phased;
+        impl StateMachine for Phased {
+            type State = u8;
+            fn initial_state(&self) -> u8 {
+                0
+            }
+            fn handle_in(&mut self, _s: u8, _ctx: &mut Context<'_>, _e: Event) -> Transition<u8> {
+                Transition::Stay
+            }
+        }
+        struct Watch;
+        impl Monitor for Watch {
+            fn observe(&mut self, _ctx: &mut MonitorContext<'_>, _event: &Event) {}
+        }
+        let type_names = [
+            std::any::type_name::<Ping>(),
+            std::any::type_name::<Pong>(),
+            std::any::type_name::<Payload>(),
+            std::any::type_name::<Option<Ping>>(),
+            std::any::type_name::<Node>(),
+            std::any::type_name::<Phased>(),
+            std::any::type_name::<Watch>(),
+            std::any::type_name::<StateMachineRunner<Phased>>(),
+            std::any::type_name::<[Ping; 2]>(),
+            std::any::type_name::<(Ping, Pong)>(),
+        ];
+        for full in type_names {
+            assert_eq!(strip_module_path(full), reference(full), "input {full:?}");
+        }
+        assert_eq!(Event::new(Ping(1)).name(), reference(type_names[0]));
+        assert_eq!(Event::new(Some(Ping(1))).name(), reference(type_names[3]));
+        assert_eq!(
+            Event::replicable(Payload(1)).name(),
+            reference(type_names[2])
+        );
+        assert_eq!(Machine::name(&Node), reference(type_names[4]));
+        assert_eq!(StateMachine::name(&Phased), reference(type_names[5]));
+        assert_eq!(Monitor::name(&Watch), reference(type_names[6]));
+        assert_eq!(
+            Machine::name(&StateMachineRunner::new(Phased)),
+            reference(type_names[5])
+        );
+    }
 
     #[test]
     fn event_name_strips_module_path() {

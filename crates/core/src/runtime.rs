@@ -26,10 +26,13 @@
 //! is an incrementally maintained [`EnabledSet`] index updated at every
 //! enablement edge (enqueue, dequeue, halt, crash, restart, creation) instead
 //! of being recomputed by an O(total) slot scan, mailboxes are materialized
-//! lazily on first send from a recycled pool ([`LazyMailbox`]), and
-//! machine/event names are recorded in the trace as interned [`NameId`]s —
-//! strings are materialized only when a trace is rendered or a bug is
-//! reported.
+//! lazily on first send from a recycled pool ([`LazyMailbox`]), and names
+//! stay off the step path: an event's short type name is a `&'static str`
+//! stripped once when the event is built, machine names are interned as
+//! [`NameId`]s at creation, and an event name is interned only when the
+//! trace mode retains the step ([`Trace::push_step`]) — under
+//! `DecisionsOnly` a step records its decision and bumps a counter. Strings
+//! are materialized only when a trace is rendered or a bug is reported.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +47,7 @@ use crate::machine::{Machine, MachineId, StateMachine, StateMachineRunner};
 use crate::mailbox::{LazyMailbox, Mailbox};
 use crate::monitor::{Monitor, MonitorContext, Temperature};
 use crate::scheduler::{Scheduler, StepFootprint};
-use crate::trace::{Decision, NameId, Trace, TraceMode, TraceStep};
+use crate::trace::{Decision, NameId, Trace, TraceMode};
 
 /// How an execution of the system-under-test ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -845,13 +848,7 @@ impl Runtime {
                 (Some(event), event_name, slot.name)
             }
         };
-        let event_id = self.trace.intern(event_name);
-        self.trace.push_step(TraceStep {
-            step: self.steps,
-            machine: id,
-            machine_name: name,
-            event: event_id,
-        });
+        self.trace.push_step(self.steps, id, name, event_name);
 
         let catch = self.config.catch_panics;
         let run_handler = |rt: &mut Runtime| {

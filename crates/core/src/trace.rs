@@ -35,7 +35,12 @@
 //! machine step), so [`TraceStep`] stores machine and event names as small
 //! [`NameId`]s into the trace's [`NameTable`] instead of heap-allocated
 //! strings. Names are resolved back to text only when a trace is rendered or
-//! serialized — recording a step is allocation-free in the steady state.
+//! serialized. Machine names are interned once, when a machine is created;
+//! an event name is interned by [`Trace::push_step`] only when the mode
+//! actually stores the step, so a trace that retains no steps
+//! (`DecisionsOnly`, `RingBuffer(0)`) never hashes an event name and its
+//! table holds machine names only. Recording a step is allocation-free in
+//! the steady state.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -140,7 +145,8 @@ pub enum TraceMode {
     RingBuffer(usize),
     /// Record no annotated steps at all — the trace carries only the
     /// decision stream. The cheapest mode for huge throughput runs where
-    /// schedules are rendered from a replay, not from the original run.
+    /// schedules are rendered from a replay, not from the original run: a
+    /// step costs one counter increment, and event names are never interned.
     DecisionsOnly,
 }
 
@@ -458,24 +464,41 @@ impl Trace {
         self.decisions.push(decision);
     }
 
-    /// Records an annotated machine step, subject to the trace's
-    /// [`TraceMode`]. The step's name ids must come from [`Trace::intern`] on
-    /// this trace.
-    pub fn push_step(&mut self, step: TraceStep) {
-        match self.mode {
-            TraceMode::Full => self.steps.push(step),
-            TraceMode::DecisionsOnly => self.dropped_steps += 1,
-            TraceMode::RingBuffer(cap) => {
-                if self.steps.len() < cap {
-                    self.steps.push(step);
-                } else if cap == 0 {
-                    self.dropped_steps += 1;
-                } else {
-                    self.steps[self.ring_head] = step;
-                    self.ring_head = (self.ring_head + 1) % cap;
-                    self.dropped_steps += 1;
-                }
-            }
+    /// Records machine step number `step` — `machine` (named by
+    /// `machine_name`, an id from [`Trace::intern`] on this trace) handling
+    /// the event named `event` — subject to the trace's [`TraceMode`].
+    ///
+    /// `event` is interned only when the mode stores the step; a mode that
+    /// retains nothing (`DecisionsOnly`, `RingBuffer(0)`) just counts it as
+    /// dropped.
+    pub fn push_step(
+        &mut self,
+        step: usize,
+        machine: MachineId,
+        machine_name: NameId,
+        event: &str,
+    ) {
+        let cap = match self.mode {
+            TraceMode::Full => usize::MAX,
+            TraceMode::RingBuffer(cap) => cap,
+            TraceMode::DecisionsOnly => 0,
+        };
+        if cap == 0 {
+            self.dropped_steps += 1;
+            return;
+        }
+        let step = TraceStep {
+            step,
+            machine,
+            machine_name,
+            event: self.names.intern(event),
+        };
+        if self.steps.len() < cap {
+            self.steps.push(step);
+        } else {
+            self.steps[self.ring_head] = step;
+            self.ring_head = (self.ring_head + 1) % cap;
+            self.dropped_steps += 1;
         }
     }
 
@@ -658,25 +681,13 @@ mod tests {
         t.push_decision(Decision::Bool(true));
         t.push_decision(Decision::Int(3));
         let machine_name = t.intern("Server");
-        let event = t.intern("ClientReq");
-        t.push_step(TraceStep {
-            step: 0,
-            machine: MachineId::from_raw(0),
-            machine_name,
-            event,
-        });
+        t.push_step(0, MachineId::from_raw(0), machine_name, "ClientReq");
         t
     }
 
-    fn numbered_step(t: &mut Trace, index: usize) -> TraceStep {
+    fn push_numbered_step(t: &mut Trace, index: usize) {
         let machine_name = t.intern("M");
-        let event = t.intern("E");
-        TraceStep {
-            step: index,
-            machine: MachineId::from_raw(0),
-            machine_name,
-            event,
-        }
+        t.push_step(index, MachineId::from_raw(0), machine_name, "E");
     }
 
     #[test]
@@ -726,8 +737,7 @@ mod tests {
     fn ring_buffer_retains_only_the_newest_steps() {
         let mut t = Trace::with_mode(5, TraceMode::RingBuffer(3));
         for i in 0..10 {
-            let step = numbered_step(&mut t, i);
-            t.push_step(step);
+            push_numbered_step(&mut t, i);
         }
         assert_eq!(t.retained_step_count(), 3);
         assert_eq!(t.dropped_steps(), 7);
@@ -743,8 +753,7 @@ mod tests {
         let mut t = Trace::with_mode(5, TraceMode::RingBuffer(3));
         t.push_decision(Decision::Int(1));
         for i in 0..10 {
-            let step = numbered_step(&mut t, i);
-            t.push_step(step);
+            push_numbered_step(&mut t, i);
         }
         let back = Trace::from_json(&t.to_json().expect("serialize")).expect("deserialize");
         assert_eq!(t, back);
@@ -759,12 +768,16 @@ mod tests {
         let mut t = Trace::with_mode(1, TraceMode::DecisionsOnly);
         t.push_decision(Decision::Bool(false));
         for i in 0..4 {
-            let step = numbered_step(&mut t, i);
-            t.push_step(step);
+            push_numbered_step(&mut t, i);
         }
         assert_eq!(t.retained_step_count(), 0);
         assert_eq!(t.dropped_steps(), 4);
         assert_eq!(t.decision_count(), 1, "decisions are always kept");
+        assert_eq!(
+            t.names.len(),
+            1,
+            "event names of dropped steps are not interned"
+        );
         let back = Trace::from_json(&t.to_json().expect("serialize")).expect("deserialize");
         assert_eq!(t, back);
     }
@@ -772,10 +785,14 @@ mod tests {
     #[test]
     fn zero_capacity_ring_drops_everything() {
         let mut t = Trace::with_mode(1, TraceMode::RingBuffer(0));
-        let step = numbered_step(&mut t, 0);
-        t.push_step(step);
+        push_numbered_step(&mut t, 0);
         assert_eq!(t.retained_step_count(), 0);
         assert_eq!(t.dropped_steps(), 1);
+        assert_eq!(
+            t.names.len(),
+            1,
+            "event names of dropped steps are not interned"
+        );
     }
 
     #[test]
@@ -789,8 +806,7 @@ mod tests {
         assert_eq!(t.dropped_steps(), 0);
         assert!(t.names.is_empty());
         for i in 0..5 {
-            let step = numbered_step(&mut t, i);
-            t.push_step(step);
+            push_numbered_step(&mut t, i);
         }
         assert_eq!(t.retained_step_count(), 2);
     }
@@ -858,13 +874,7 @@ mod tests {
             t.intern(first);
             t.intern(second);
             let machine_name = t.intern("MachineA");
-            let event = t.intern("EventB");
-            t.push_step(TraceStep {
-                step: 0,
-                machine: MachineId::from_raw(0),
-                machine_name,
-                event,
-            });
+            t.push_step(0, MachineId::from_raw(0), machine_name, "EventB");
             t
         };
         assert_eq!(build(false), build(true));

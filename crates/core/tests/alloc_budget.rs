@@ -298,6 +298,83 @@ fn pooled_runtime_iteration_stays_within_a_constant_allocation_budget() {
     );
 }
 
+/// Sixteen distinct zero-sized event types (boxing a zero-sized payload
+/// never allocates), so only per-name bookkeeping can show up in a budget.
+macro_rules! event_types {
+    ($($name:ident),* $(,)?) => {
+        $(
+            #[derive(Debug)]
+            struct $name;
+        )*
+        /// One constructor per distinct event type.
+        const DISTINCT_EVENTS: &[fn() -> Event] = &[$(|| Event::new($name)),*];
+    };
+}
+event_types!(E00, E01, E02, E03, E04, E05, E06, E07, E08, E09, E10, E11, E12, E13, E14, E15);
+
+/// A recycled iteration recorded as `TraceMode::DecisionsOnly` (what bug
+/// hunts record in) never interns an event name: a step that the trace does
+/// not keep only counts as dropped. When every step interned its event
+/// name, the reset name table re-allocated one `Arc<str>` per distinct
+/// event name per iteration, so this 16-type run spent at least 16
+/// allocations.
+#[test]
+fn recycled_decisions_only_iteration_interns_no_event_names() {
+    const ROUNDS: usize = 64;
+    /// Sends every distinct event type to the sink, `ROUNDS` times over.
+    struct Fanout {
+        sink: MachineId,
+    }
+    impl Machine for Fanout {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for _ in 0..ROUNDS {
+                for make in DISTINCT_EVENTS {
+                    ctx.send(self.sink, make());
+                }
+            }
+        }
+        fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+    }
+    struct Sink;
+    impl Machine for Sink {
+        fn handle(&mut self, _ctx: &mut Context<'_>, _event: Event) {}
+    }
+    const STEPS: usize = 2 + ROUNDS * 16;
+    let config = RuntimeConfig {
+        max_steps: STEPS * 2,
+        trace_mode: TraceMode::DecisionsOnly,
+        ..RuntimeConfig::default()
+    };
+    let build = |rt: &mut Runtime| {
+        let sink = rt.create_machine(Sink);
+        rt.create_machine(Fanout { sink });
+    };
+
+    // Warm-up iteration grows every pooled buffer.
+    let mut rt = Runtime::new(
+        SchedulerKind::Random.build(11, STEPS * 2),
+        config.clone(),
+        11,
+    );
+    build(&mut rt);
+    assert_eq!(rt.run(), ExecutionOutcome::Quiescent);
+
+    // The recycled iteration: reset, re-build, measure the run.
+    rt.reset(SchedulerKind::Random.build(13, STEPS * 2), config, 13);
+    build(&mut rt);
+    let (allocations, outcome) = count_allocations(|| rt.run());
+    assert_eq!(outcome, ExecutionOutcome::Quiescent);
+    assert_eq!(rt.steps(), STEPS);
+    assert_eq!(rt.trace().dropped_steps(), STEPS);
+    assert!(
+        allocations <= 8,
+        "a recycled decisions-only iteration over {} event types allocated \
+         {allocations} times; event names must stay off the step path",
+        DISTINCT_EVENTS.len()
+    );
+    assert_eq!(rt.trace().names.len(), 2, "machine names only");
+}
+
 /// The mega-scale acceptance of the O(active) scheduling core (PR 8): a
 /// *recycled* 10,240-machine megakv iteration — pooled [`Runtime::reset`],
 /// full harness re-creation, then a run to quiescence covering one
